@@ -1,0 +1,74 @@
+"""CLI outputs stay byte-identical on the golden inputs.
+
+tests/golden/ holds the exact stdout of `colorlie generate` for so(4,2,1,1)
+and so(4,2,2,2), and of the verbs below run on those files.  Any change to
+these bytes is a change of the CLI contract and must be made on purpose,
+by regenerating the files and saying why.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from colorlie import serialize
+from colorlie.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def stdout_of(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out.encode()
+
+
+@pytest.fixture(scope="module")
+def defining_file(tmp_path_factory):
+    from colorlie.algebra import from_matrices
+    from colorlie.families import SoParams, so_pqrs
+    from colorlie.reps import defining_representation
+
+    real = so_pqrs(SoParams(4, 2, 2, 2))
+    rep = defining_representation(from_matrices(real), real)
+    path = tmp_path_factory.mktemp("golden") / "defining.json"
+    path.write_text(json.dumps(serialize.representation_to_json(rep, "so4222")))
+    return path
+
+
+@pytest.mark.parametrize("name, pqrs", [
+    ("so4211", (4, 2, 1, 1)),
+    ("so4222", (4, 2, 2, 2)),
+])
+def test_generate(capsys, name, pqrs):
+    p, q, r, s = pqrs
+    out = stdout_of(capsys, "generate", "--family", "so",
+                    "--p", p, "--q", q, "--r", r, "--s", s)
+    assert out == (GOLDEN / f"generate_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("verb, name", [
+    ("validate", "so4211"),
+    ("validate", "so4222"),
+    ("roots", "so4211"),
+    ("roots", "so4222"),
+])
+def test_algebra_verb(capsys, verb, name):
+    out = stdout_of(capsys, verb, GOLDEN / f"generate_{name}.json")
+    assert out == (GOLDEN / f"{verb}_{name}.json").read_bytes()
+
+
+def test_dynkin(capsys):
+    alg = GOLDEN / "generate_so4222.json"
+    assert stdout_of(capsys, "dynkin", alg) == (
+        GOLDEN / "dynkin_so4222.json").read_bytes()
+    assert stdout_of(capsys, "dynkin", alg, "--dot") == (
+        GOLDEN / "dynkin_so4222.dot").read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
+def test_module_verb(capsys, defining_file, verb):
+    out = stdout_of(capsys, verb, defining_file,
+                    "--algebra", GOLDEN / "generate_so4222.json")
+    golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining.json"
+    assert out == golden.read_bytes()
