@@ -17,7 +17,6 @@ from .grading import (
     degree_add,
     degree_pairing,
     sign,
-    sign_int,
 )
 from .linalg import (
     SMat,
@@ -27,7 +26,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .scalars import GQ, ONE, ZERO
+from .scalars import GQ, ONE
 
 
 class GradedAlgebra:
@@ -46,6 +45,9 @@ class GradedAlgebra:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise DimensionMismatch(f"structure index ({i},{j}) out of range")
             coeffs = {k: v for k, v in coeffs.items() if v}
+            for k in coeffs:
+                if not 0 <= k < self.dim:
+                    raise DimensionMismatch(f"structure index k={k} out of range")
             if not coeffs:
                 continue
             if i < j:
@@ -192,14 +194,6 @@ class MatrixRealization:
         x, y = self.matrices[a], self.matrices[b]
         s = sign(self.basis_degrees[a], self.basis_degrees[b])
         return (x @ y) - (y @ x).scaled(s)
-
-
-def degree_pairing_op(a, b) -> int:
-    return degree_pairing(check_degree(a), check_degree(b))
-
-
-def sign_op(a, b) -> GQ:
-    return sign(check_degree(a), check_degree(b))
 
 
 def check_axioms(g: GradedAlgebra) -> AxiomReport:

@@ -29,11 +29,11 @@ def sign_int(a: Degree, b: Degree) -> int:
 
 
 def check_degree(a) -> Degree:
+    # bits must be real ints: a JSON true/false is not a degree bit
     if (
         not isinstance(a, (tuple, list))
         or len(a) != 2
-        or a[0] not in (0, 1)
-        or a[1] not in (0, 1)
+        or any(type(x) is not int or x not in (0, 1) for x in a)
     ):
         raise ValueError(f"not a Z2xZ2 degree: {a!r}")
     return (a[0], a[1])

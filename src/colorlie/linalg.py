@@ -6,11 +6,8 @@ tolerance anywhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .errors import IrrationalEigenvalue, SingularForm
-from .scalars import GQ, MINUS_ONE, ONE, ZERO
+from .scalars import GQ, MINUS_ONE, ONE, ZERO, clear_denominators
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -39,18 +36,6 @@ def vec_scale(x: dict, a: GQ) -> dict:
     return {j: a * xj for j, xj in x.items()}
 
 
-def vec_add(x: dict, y: dict) -> dict:
-    z = dict(x)
-    vec_axpy(z, ONE, y)
-    return z
-
-
-def vec_sub(x: dict, y: dict) -> dict:
-    z = dict(x)
-    vec_axpy(z, MINUS_ONE, y)
-    return z
-
-
 def vec_dot(x: dict, y: dict) -> GQ:
     if len(x) > len(y):
         x, y = y, x
@@ -60,17 +45,6 @@ def vec_dot(x: dict, y: dict) -> GQ:
         if yj is not None:
             s = s + xj * yj
     return s
-
-
-def vec_from_list(entries) -> dict:
-    return {j: v for j, v in enumerate(entries) if v}
-
-
-def vec_to_list(x: dict, n: int) -> list:
-    out = [ZERO] * n
-    for j, v in x.items():
-        out[j] = v
-    return out
 
 
 def unit_vec(j: int) -> dict:
@@ -104,13 +78,6 @@ class SMat:
     def identity(n: int) -> "SMat":
         return SMat(n, n, [{i: ONE} for i in range(n)])
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "SMat":
-        return SMat(nrows, ncols)
-
-    def to_dense(self):
-        return [vec_to_list(r, self.ncols) for r in self.rows]
-
     def copy(self) -> "SMat":
         return SMat(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
@@ -133,9 +100,6 @@ class SMat:
                     cols[j][i] = v
             self._cols = cols
         return self._cols
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, SMat):
@@ -177,13 +141,6 @@ class SMat:
             vec_axpy(y, xj, cols[j])
         return y
 
-    def rowvec(self, x: dict) -> dict:
-        """x^T @ M for a sparse row vector x."""
-        y: dict = {}
-        for i, xi in x.items():
-            vec_axpy(y, xi, self.rows[i])
-        return y
-
     def __matmul__(self, other: "SMat") -> "SMat":
         out = [dict() for _ in range(self.nrows)]
         brows = other.rows
@@ -214,9 +171,6 @@ class SMat:
                 if b is not None:
                     s = s + a * b
         return s
-
-    def commutator(self, other: "SMat") -> "SMat":
-        return (self @ other) - (other @ self)
 
     def degree_support(self, block_of: list, block_degree) -> set:
         """Degrees block_degree(block_of[i], block_of[j]) present among nonzeros."""
@@ -635,24 +589,19 @@ def gaussian_rational_roots(p: list):
     if len(p) <= 1:
         return roots, 0
     # clear denominators -> Z[i] coefficients
-    den = 1
-    for c in p:
-        den = den * c.re.denominator // gcd(den, c.re.denominator)
-        den = den * c.im.denominator // gcd(den, c.im.denominator)
-    zi = [(int(c.re * den), int(c.im * den)) for c in p]
+    zi = clear_denominators(p)
     c0, cn = zi[0], zi[-1]
     units = [ONE, GQ(-1), GQ(0, 1), GQ(0, -1)]
     candidates = []
     seen = set()
     for d0 in gaussian_divisors(c0):
-        num = GQ(Fraction(d0[0]), Fraction(d0[1]))
+        num = GQ(d0[0], d0[1])
         for dn in gaussian_divisors(cn):
-            base = num / GQ(Fraction(dn[0]), Fraction(dn[1]))
+            base = num / GQ(dn[0], dn[1])
             for u in units:
                 lam = base * u
-                key = (lam.re, lam.im)
-                if key not in seen:
-                    seen.add(key)
+                if lam not in seen:
+                    seen.add(lam)
                     candidates.append(lam)
     for lam in candidates:
         if not poly_eval(p, lam):

@@ -1,109 +1,164 @@
-"""Exact scalars: elements of Q(i) with Fraction real and imaginary parts.
+"""Exact scalars: the Gaussian rationals Q(i).
 
-No floating point anywhere.  Fraction keeps numerator/denominator coprime and
-the denominator positive, so every GQ is automatically in reduced form.
+A GQ is one normalized integer triple (a, b, d) meaning (a + b*i)/d, with
+d > 0 and gcd(a, b, d) == 1, so every value has exactly one representation
+and equality is a comparison of triples.  When both operands have d == 1,
+the common case for structure constants and representation matrices,
+arithmetic needs no gcd at all.  The real and imaginary parts are exact
+Fraction views (`.re`, `.im`) for reports and root coordinates.  No floating
+point anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_new = object.__new__
 
 
 class GQ:
-    """A Gaussian rational a + b*i with a, b in Q."""
+    """A Gaussian rational (a + b*i)/d."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = lcm(p, q)
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
 
-    # -- constructors ------------------------------------------------------
+    # -- exact views -------------------------------------------------------
 
-    @staticmethod
-    def from_rational(q) -> "GQ":
-        return GQ(q, 0)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self._d == 1
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GQ(self.re + other.re, self.im + other.im)
+        if type(other) is not GQ:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                z = _new(GQ)
+                z._a, z._b, z._d = self._a + other._a, self._b + other._b, 1
+                return z
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GQ(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        z = _new(GQ)
+        z._a, z._b, z._d = -self._a, -self._b, self._d
+        return z
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GQ(a * c - b * d, a * d + b * c)
+        if type(other) is not GQ:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if self._d == 1 and other._d == 1:
+            z = _new(GQ)
+            z._a, z._b, z._d = a * c - b * e, a * e + b * c, 1
+            return z
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        c, d = other.re, other.im
-        n = c * c + d * d
+        if type(other) is not GQ:
+            other = _coerce(other)
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        a, b = self.re, self.im
-        return GQ((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b = self._a, self._b
+        # (a+bi)/d / ((c+ei)/f) = f (a+bi)(c-ei) / (d (c^2+e^2))
+        return _make(f * (a * c + b * e), f * (b * c - a * e), self._d * n)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def conjugate(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        z = _new(GQ)
+        z._a, z._b, z._d = self._a, -self._b, self._d
+        return z
 
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, GQ):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # hash(re) for rational values, like the int or Fraction they equal;
+        # hash((re, im)) otherwise
+        if self._d == 1:
+            return hash((self._a, self._b)) if self._b else hash(self._a)
+        return hash((self.re, self.im)) if self._b else hash(self.re)
 
     # -- formatting --------------------------------------------------------
 
     def __repr__(self):
-        if not self.im:
-            return f"GQ({self.re})"
-        return f"GQ({self.re}, {self.im})"
+        re, im = self.re, self.im
+        if not im:
+            return f"GQ({re})"
+        return f"GQ({re}, {im})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
+def _make(a: int, b: int, d: int) -> GQ:
+    """The normalized GQ (a + b*i)/d for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(GQ)
+    z._a, z._b, z._d = a, b, d
+    return z
 
 
 ZERO = GQ(0)
@@ -117,8 +172,15 @@ def _coerce(x) -> GQ:
     if isinstance(x, GQ):
         return x
     if isinstance(x, (int, Fraction)):
-        return GQ(x)
+        return _make(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)")
+
+
+def clear_denominators(values) -> list:
+    """[(a_k, b_k), ...] with values[k] = (a_k + b_k*i)/den, where den is the
+    least common denominator of the values."""
+    den = lcm(*(z._d for z in values))
+    return [(z._a * (den // z._d), z._b * (den // z._d)) for z in values]
 
 
 def rational_str(q: Fraction) -> str:
@@ -129,8 +191,8 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" (or "p", or an int) into a Fraction."""
-    if isinstance(s, int):
+    """Parse "p/q" (or "p", or an int, but not a bool) into a Fraction."""
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         return Fraction(s)

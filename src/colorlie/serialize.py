@@ -11,27 +11,20 @@ from fractions import Fraction
 
 from .algebra import GradedAlgebra, MatrixRealization
 from .linalg import SMat
-from .scalars import GQ, parse_rational, rational_str
+from .scalars import gq_to_pair, pair_to_gq, rational_str
 
 
-def _gq_pair(z: GQ):
-    return [rational_str(z.re), rational_str(z.im)]
-
-
-def _pair_gq(pair) -> GQ:
-    return GQ(parse_rational(pair[0]), parse_rational(pair[1]))
+def _record(c, **index) -> dict:
+    re, im = gq_to_pair(c)
+    return {**index, "re": re, "im": im}
 
 
 def _vec_to_records(v: dict):
-    return [{"k": k, "re": rational_str(c.re), "im": rational_str(c.im)}
-            for k, c in sorted(v.items())]
+    return [_record(c, k=k) for k, c in sorted(v.items())]
 
 
 def _records_to_vec(records) -> dict:
-    return {
-        r["k"]: GQ(parse_rational(r["re"]), parse_rational(r["im"]))
-        for r in records
-    }
+    return {r["k"]: pair_to_gq((r["re"], r["im"])) for r in records}
 
 
 # --------------------------------------------------------------------------
@@ -39,17 +32,11 @@ def _records_to_vec(records) -> dict:
 # --------------------------------------------------------------------------
 
 def algebra_to_json(g: GradedAlgebra, cartan_hint=None) -> dict:
-    structure = []
-    for (i, j) in sorted(g.structure):
-        for k, c in sorted(g.structure[(i, j)].items()):
-            structure.append(
-                {"i": i, "j": j, "k": k,
-                 "re": rational_str(c.re), "im": rational_str(c.im)}
-            )
     doc = {
         "dim": g.dim,
         "degrees": [list(d) for d in g.degrees],
-        "structure": structure,
+        "structure": [_record(c, i=i, j=j, k=k) for (i, j) in sorted(g.structure)
+                      for k, c in sorted(g.structure[(i, j)].items())],
     }
     if g.labels:
         doc["labels"] = list(g.labels)
@@ -65,10 +52,12 @@ def algebra_from_json(doc: dict) -> GradedAlgebra:
         raise ValueError("dim does not match the degrees array")
     structure: dict = {}
     for r in doc["structure"]:
-        key = (r["i"], r["j"])
-        structure.setdefault(key, {})[r["k"]] = GQ(
-            parse_rational(r["re"]), parse_rational(r["im"])
-        )
+        for key in "ijk":
+            x = r[key]
+            if type(x) is not int or not 0 <= x < dim:
+                raise ValueError(f"structure index {key}={x!r} outside [0, {dim})")
+        structure.setdefault((r["i"], r["j"]), {})[r["k"]] = pair_to_gq(
+            (r["re"], r["im"]))
     return GradedAlgebra(degrees, structure, labels=doc.get("labels"))
 
 
@@ -84,14 +73,14 @@ def cartan_hint_from_json(doc: dict):
 # --------------------------------------------------------------------------
 
 def _dense_matrix(m: SMat):
-    return [[_gq_pair(m.get(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[gq_to_pair(m.get(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def _matrix_from_dense(rows) -> SMat:
     m = SMat(len(rows), len(rows[0]) if rows else 0)
     for i, row in enumerate(rows):
         for j, pair in enumerate(row):
-            v = _pair_gq(pair)
+            v = pair_to_gq(pair)
             if v:
                 m.rows[i][j] = v
     return m

@@ -12,7 +12,7 @@ from colorlie.algebra import (
     killing_radical,
     subalgebra_on_indices,
 )
-from colorlie.errors import NotClosed
+from colorlie.errors import DimensionMismatch, NotClosed
 from colorlie.grading import ZERO_DEGREE, degree_add, sign_int
 from colorlie.linalg import SMat, unit_vec
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
@@ -36,6 +36,12 @@ def test_structure_canonicalization():
             [(0, 0)] * 3,
             {(0, 1): {2: ONE}, (1, 0): {2: ONE}},  # inconsistent pair
         )
+
+
+def test_structure_index_out_of_range():
+    for structure in ({(0, 3): {2: ONE}}, {(0, 1): {3: ONE}}, {(0, 1): {-1: ONE}}):
+        with pytest.raises(DimensionMismatch):
+            GradedAlgebra([(0, 0)] * 3, structure)
 
 
 def test_diagonal_bracket_requires_anticommuting_degrees():
@@ -151,3 +157,10 @@ def test_grading_closure(g4222):
     for (i, j), coeffs in g4222.structure.items():
         d = degree_add(g4222.degrees[i], g4222.degrees[j])
         assert all(g4222.degrees[k] == d for k in coeffs)
+
+
+def test_boolean_degree_bits_rejected():
+    with pytest.raises(ValueError):
+        GradedAlgebra([(True, False)], {})
+    with pytest.raises(ValueError):
+        GradedAlgebra([(0, 2)], {})

@@ -123,3 +123,23 @@ def test_degenerate_order_exits_1(capsys, alg_file):
                        "--order", "1,1,0,0,0")
     assert code == 1
     assert "vanishes" in err
+
+
+@pytest.mark.parametrize("doc", [
+    # structure index k out of range
+    {"dim": 2, "degrees": [[0, 0], [0, 0]],
+     "structure": [{"i": 0, "j": 1, "k": 7, "re": "1", "im": "0"}]},
+    # JSON booleans as degree bits
+    {"dim": 1, "degrees": [[True, False]], "structure": []},
+    # a JSON boolean as a structure constant
+    {"dim": 2, "degrees": [[0, 0], [0, 0]],
+     "structure": [{"i": 0, "j": 1, "k": 1, "re": True, "im": "0"}]},
+])
+def test_malformed_algebra_exits_2(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from colorlie import serialize
 from colorlie.families import SoParams, so_cartan_hint
 from colorlie.reps import is_representation
@@ -84,3 +86,13 @@ def test_dynkin_dot(rs4222, g4222):
     assert dot.count(" -- ") == 4  # D5 tree has 4 edges
     for i, d in enumerate(ed.node_degrees):
         assert f'a{i + 1} [{d[0]}{d[1]}]' in dot
+
+
+@pytest.mark.parametrize("key, value", [
+    ("i", 2), ("j", -1), ("k", 7), ("k", True), ("k", "0")])
+def test_algebra_from_json_rejects_bad_structure_index(key, value):
+    rec = {"i": 0, "j": 1, "k": 0, "re": "1", "im": "0"}
+    rec[key] = value
+    doc = {"dim": 2, "degrees": [[0, 0], [0, 0]], "structure": [rec]}
+    with pytest.raises(ValueError, match=f"structure index {key}="):
+        serialize.algebra_from_json(doc)
