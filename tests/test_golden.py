@@ -72,3 +72,25 @@ def test_module_verb(capsys, defining_file, verb):
                     "--algebra", GOLDEN / "generate_so4222.json")
     golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining.json"
     assert out == golden.read_bytes()
+
+
+@pytest.mark.parametrize("where, stderr", [
+    ("first", "validate: graded Jacobi: FAIL at (0, 1, 4) lhs={} rhs={5: GQ(-1)}\n"),
+    ("middle", "validate: graded Jacobi: FAIL at (1, 9, 29) lhs={} rhs={37: GQ(-1)}\n"),
+    ("last", "validate: graded Jacobi: FAIL at (7, 41, 44) lhs={} rhs={8: GQ(-1)}\n"),
+])
+def test_validate_perturbed(capsys, tmp_path, where, stderr):
+    """so(4,2,2,2) with 1 added to the real part of one structure record
+    fails `validate` with a fixed report and witness."""
+    doc = json.loads((GOLDEN / "generate_so4222.json").read_text())
+    records = doc["structure"]
+    record = records[{"first": 0, "middle": len(records) // 2, "last": -1}[where]]
+    record["re"] = str(int(record["re"]) + 1)
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.encode() == (
+        GOLDEN / f"validate_so4222_perturbed_{where}.json").read_bytes()
+    assert captured.err == stderr
