@@ -21,7 +21,9 @@ from .grading import (
 from .linalg import (
     SMat,
     SubspaceBasis,
+    closure,
     kernel_basis,
+    lincomb,
     unit_vec,
     vec_axpy,
     vec_scale,
@@ -106,12 +108,7 @@ class GradedAlgebra:
         """Adjoint operator of a basis index or coefficient vector."""
         if isinstance(x, int):
             return self.ad_matrices()[x]
-        m = SMat(self.dim, self.dim)
-        for i, xi in x.items():
-            for row, other in zip(m.rows, self.ad_matrices()[i].rows):
-                vec_axpy(row, xi, other)
-        m._cols = None
-        return m
+        return lincomb(self.ad_matrices(), x, self.dim)
 
     def ad_matrices(self) -> list:
         if self._ad_cache is None:
@@ -121,7 +118,6 @@ class GradedAlgebra:
                 for j in range(self.dim):
                     for k, v in self.bracket_basis(i, j).items():
                         m.rows[k][j] = v
-                m._cols = None
                 mats.append(m)
             self._ad_cache = mats
         return self._ad_cache
@@ -196,9 +192,34 @@ class MatrixRealization:
         return (x @ y) - (y @ x).scaled(s)
 
 
+def homomorphism_failure(g: GradedAlgebra, mats: list):
+    """First basis pair (i <= j) where
+    pi([e_i,e_j]) != pi(e_i)pi(e_j) - eps(|e_i|,|e_j|) pi(e_j)pi(e_i),
+    as (i, j, lhs, rhs), or None when mats is a color homomorphism.
+
+    Pairs i > j follow from graded antisymmetry, which GradedAlgebra enforces.
+    """
+    for i in range(g.dim):
+        mi = mats[i]
+        for j in range(i, g.dim):
+            mj = mats[j]
+            rhs = mi @ mj
+            eps = sign(g.degrees[i], g.degrees[j])
+            for row, other in zip(rhs.rows, (mj @ mi).rows):
+                vec_axpy(row, -eps, other)
+            lhs = lincomb(mats, g.bracket_basis(i, j), mi.nrows)
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
 def check_axioms(g: GradedAlgebra) -> AxiomReport:
-    """Verify grading closure, graded antisymmetry and graded Jacobi on all
-    basis pairs/triples; report the first witness per axiom."""
+    """Verify grading closure and graded antisymmetry on all basis pairs, and
+    graded Jacobi as "ad is a color representation": for all z,
+    [x,[y,z]] = [[x,y],z] + eps(|x|,|y|) [y,[x,z]] says exactly
+    ad[x,y] = ad x ad y - eps(|x|,|y|) ad y ad x (homomorphism_failure).
+    Report the first witness per axiom; the Jacobi witness (i, j, k) is the
+    first failing pair and its first differing column."""
     report = AxiomReport()
     degs = g.degrees
     n = g.dim
@@ -223,22 +244,16 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
                 report.antisymmetry = ((i, j), lhs, rhs)
                 break
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
-    for i in range(n):
-        if report.jacobi:
-            break
-        ei = unit_vec(i)
-        for j in range(n):
-            if report.jacobi:
-                break
-            s = sign(degs[i], degs[j])
-            bij = g.bracket_basis(i, j)
-            for k in range(n):
-                lhs = g.bracket(ei, g.bracket_basis(j, k))
-                rhs = g.bracket(bij, unit_vec(k))
-                vec_axpy(rhs, s, g.bracket(unit_vec(j), g.bracket_basis(i, k)))
-                if lhs != rhs:
-                    report.jacobi = ((i, j, k), lhs, rhs)
-                    break
+    failure = homomorphism_failure(g, g.ad_matrices())
+    if failure:
+        i, j, ad_lhs, ad_rhs = failure
+        k = min(c for a, b in zip(ad_lhs.rows, ad_rhs.rows)
+                for c in a.keys() | b.keys() if a.get(c) != b.get(c))
+        lhs = g.bracket(unit_vec(i), g.bracket_basis(j, k))
+        rhs = g.bracket(g.bracket_basis(i, j), unit_vec(k))
+        vec_axpy(rhs, sign(degs[i], degs[j]),
+                 g.bracket(unit_vec(j), g.bracket_basis(i, k)))
+        report.jacobi = ((i, j, k), lhs, rhs)
     return report
 
 
@@ -312,7 +327,6 @@ def killing_form(g: GradedAlgebra) -> SMat:
                 gram.rows[i][j] = v
                 if i != j:
                     gram.rows[j][i] = v
-    gram._cols = None
     g._killing_cache = gram
     return gram
 
@@ -423,21 +437,6 @@ class SimplicityVerdict:
         return self.simple
 
 
-def _ideal_closure(g: GradedAlgebra, v: dict) -> SubspaceBasis:
-    sb = SubspaceBasis()
-    sb.add(v)
-    frontier = [v]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(g.dim):
-                u = g.bracket(unit_vec(i), w)
-                if u and sb.add(u):
-                    new.append(u)
-        frontier = new
-    return sb
-
-
 def graded_simplicity_probe(g: GradedAlgebra, trials: int = 4, seed: int = 0) -> SimplicityVerdict:
     """Probe for proper nonzero graded ideals.
 
@@ -460,7 +459,7 @@ def graded_simplicity_probe(g: GradedAlgebra, trials: int = 4, seed: int = 0) ->
             if v:
                 candidates.append(v)
     for v in candidates:
-        sb = _ideal_closure(g, v)
+        sb = closure(v, g.ad_matrices())
         if 0 < sb.dim < g.dim:
             return SimplicityVerdict(
                 False, [dict(r) for r in sb.rows], "proper nonzero graded ideal found"

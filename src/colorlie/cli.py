@@ -53,7 +53,7 @@ def _parse_order(text):
 def _load_algebra(path: str):
     doc = _read_json(path)
     g = serialize.algebra_from_json(doc)
-    hint = serialize.cartan_hint_from_json(doc)
+    hint = serialize.cartan_hint_from_json(doc, g.dim)
     return g, hint
 
 

@@ -57,7 +57,8 @@ def unit_vec(j: int) -> dict:
 
 
 class SMat:
-    """Sparse matrix: list of sparse rows over Q(i)."""
+    """Sparse matrix: list of sparse rows over Q(i).  Rows are filled before
+    the column view `cols`, cached on first read, is first read."""
 
     __slots__ = ("nrows", "ncols", "rows", "_cols")
 
@@ -80,13 +81,6 @@ class SMat:
 
     def copy(self) -> "SMat":
         return SMat(self.nrows, self.ncols, [dict(r) for r in self.rows])
-
-    def set(self, i: int, j: int, v: GQ) -> None:
-        self._cols = None
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
 
     def get(self, i: int, j: int) -> GQ:
         return self.rows[i].get(j, ZERO)
@@ -117,14 +111,12 @@ class SMat:
         out = self.copy()
         for i, row in enumerate(other.rows):
             vec_axpy(out.rows[i], ONE, row)
-        out._cols = None
         return out
 
     def __sub__(self, other):
         out = self.copy()
         for i, row in enumerate(other.rows):
             vec_axpy(out.rows[i], MINUS_ONE, row)
-        out._cols = None
         return out
 
     def __neg__(self):
@@ -180,6 +172,15 @@ class SMat:
             for j in row:
                 degs.add(block_degree(bi, block_of[j]))
         return degs
+
+
+def lincomb(mats: list, x: dict, n: int) -> SMat:
+    """sum_i x[i] * mats[i] for a coefficient vector x over n x n matrices."""
+    rows = [dict() for _ in range(n)]
+    for i, c in x.items():
+        for row, other in zip(rows, mats[i].rows):
+            vec_axpy(row, c, other)
+    return SMat(n, n, rows)
 
 
 def kron(a: SMat, b: SMat) -> SMat:
@@ -279,6 +280,23 @@ class SubspaceBasis:
             self.add(v)
 
 
+def closure(v: dict, ops: list) -> SubspaceBasis:
+    """Smallest subspace containing v and invariant under every operator:
+    breadth-first images, with exact rank checks for termination."""
+    sb = SubspaceBasis()
+    sb.add(v)
+    frontier = [v]
+    while frontier:
+        new = []
+        for w in frontier:
+            for op in ops:
+                img = op.matvec(w)
+                if img and sb.add(img):
+                    new.append(img)
+        frontier = new
+    return sb
+
+
 def span_dim(vectors) -> int:
     sb = SubspaceBasis()
     sb.extend(vectors)
@@ -350,7 +368,6 @@ def invert(m: SMat) -> SMat:
             raise SingularForm("matrix is singular")
         for i, v in c.items():
             out.rows[i][j] = v
-    out._cols = None
     return out
 
 
@@ -665,7 +682,6 @@ def restriction_matrix(basis: SubspaceBasis, op: SMat) -> SMat:
             raise ValueError("subspace is not invariant under the operator")
         for i, val in c.items():
             out.rows[i][k] = val
-    out._cols = None
     return out
 
 
@@ -702,7 +718,6 @@ def eigensplit(vectors: list, operators: list):
                         shifted.rows[i][i] = v
                     else:
                         shifted.rows[i].pop(i, None)
-                shifted._cols = None
                 power = shifted
                 for _ in range(mult - 1):
                     power = power @ shifted

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GradedAlgebra, MatrixRealization, killing_form
+from .algebra import (
+    GradedAlgebra,
+    MatrixRealization,
+    homomorphism_failure,
+    killing_form,
+)
 from .errors import (
     DecompositionIncomplete,
     DimensionMismatch,
@@ -25,10 +30,12 @@ from .grading import check_degree, degree_add, sign
 from .linalg import (
     SMat,
     SubspaceBasis,
+    closure,
     eigensplit,
     invert,
     kernel_basis,
     kron,
+    lincomb,
     unit_vec,
     vec_axpy,
     vec_scale,
@@ -61,12 +68,7 @@ class Representation:
 
     def apply(self, x: dict) -> SMat:
         """pi(x) for x given by coefficients on the algebra basis."""
-        out = SMat(self.dim, self.dim)
-        for i, c in x.items():
-            for r, row in enumerate(self.matrices[i].rows):
-                vec_axpy(out.rows[r], c, row)
-        out._cols = None
-        return out
+        return lincomb(self.matrices, x, self.dim)
 
 
 @dataclass
@@ -99,19 +101,7 @@ def is_representation(rep: Representation) -> RepReport:
     """Verify the color-homomorphism identity on all basis pairs, and the
     graded-module condition when a grading is present."""
     g = rep.algebra
-    witness = None
-    for i in range(g.dim):
-        if witness:
-            break
-        mi = rep.matrices[i]
-        for j in range(i, g.dim):
-            mj = rep.matrices[j]
-            s = sign(g.degrees[i], g.degrees[j])
-            rhs = (mi @ mj) - (mj @ mi).scaled(s)
-            lhs = rep.apply(g.bracket_basis(i, j))
-            if lhs != rhs:
-                witness = (i, j, lhs, rhs)
-                break
+    witness = homomorphism_failure(g, rep.matrices)
     grading_witness = None
     if rep.grading is not None:
         for i in range(g.dim):
@@ -171,7 +161,7 @@ def casimir_matrix(rep: Representation) -> SMat:
     gram = killing_form(g)
     try:
         ginv = invert(gram)
-    except Exception:
+    except SingularForm:
         raise SingularForm("Killing form is singular; no Casimir element")
     omega = SMat(rep.dim, rep.dim)
     for i in range(g.dim):
@@ -179,7 +169,6 @@ def casimir_matrix(rep: Representation) -> SMat:
         prod = rep.matrices[i] @ dual
         for r, row in enumerate(prod.rows):
             vec_axpy(omega.rows[r], ONE, row)
-    omega._cols = None
     return omega
 
 
@@ -299,23 +288,6 @@ class IrreducibleComponent:
         return len(self.basis)
 
 
-def _cyclic_submodule(v: dict, ops: list) -> SubspaceBasis:
-    """Breadth-first closure of v under the given operators, with exact rank
-    checks for termination."""
-    sb = SubspaceBasis()
-    sb.add(v)
-    frontier = [v]
-    while frontier:
-        new = []
-        for w in frontier:
-            for op in ops:
-                img = op.matvec(w)
-                if img and sb.add(img):
-                    new.append(img)
-        frontier = new
-    return sb
-
-
 def decompose(rep: Representation, rs: RootSystem) -> list:
     """Complete-reducibility decomposition with an exact direct-sum rank
     certificate."""
@@ -329,7 +301,7 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
     cert = SubspaceBasis()
     for mu, kernel in sorted(hw):
         for v in kernel:
-            sb = _cyclic_submodule(v, lowering)
+            sb = closure(v, lowering)
             basis = [dict(r) for r in sb.rows]
             # invariance under every generator
             for m in rep.matrices:
@@ -467,7 +439,6 @@ def apply_synthesized_grading(rep: Representation, rs: RootSystem) -> Representa
     for j, v in enumerate(basis):
         for i, c in v.items():
             p.rows[i][j] = c
-    p._cols = None
     pinv = invert(p)
     mats = [pinv @ m @ p for m in rep.matrices]
     return Representation(rep.algebra, rep.dim, mats, grading=grading)

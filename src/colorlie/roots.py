@@ -14,6 +14,7 @@ from .errors import (
     IrrationalEigenvalue,
     NotSelfCentralizing,
     PairingDegenerate,
+    SingularForm,
 )
 from .grading import ZERO_DEGREE
 from .linalg import (
@@ -85,10 +86,9 @@ def validate_cartan(g: GradedAlgebra, basis) -> CartanSubalgebra:
                 gram.rows[a][b] = v
                 if a != b:
                     gram.rows[b][a] = v
-    gram._cols = None
     try:
         invert(gram)
-    except Exception:
+    except SingularForm:
         raise HintInvalid("Killing restriction to the hint is degenerate")
     # centralizer of the hint inside g^(0,0) must equal the hint
     cent = _centralizer_in_even(g, basis)

@@ -27,6 +27,12 @@ def _records_to_vec(records) -> dict:
     return {r["k"]: pair_to_gq((r["re"], r["im"])) for r in records}
 
 
+def _check_index(what: str, record: dict, key: str, dim: int) -> None:
+    x = record[key]
+    if type(x) is not int or not 0 <= x < dim:
+        raise ValueError(f"{what} index {key}={x!r} outside [0, {dim})")
+
+
 # --------------------------------------------------------------------------
 # algebras
 # --------------------------------------------------------------------------
@@ -53,18 +59,19 @@ def algebra_from_json(doc: dict) -> GradedAlgebra:
     structure: dict = {}
     for r in doc["structure"]:
         for key in "ijk":
-            x = r[key]
-            if type(x) is not int or not 0 <= x < dim:
-                raise ValueError(f"structure index {key}={x!r} outside [0, {dim})")
+            _check_index("structure", r, key, dim)
         structure.setdefault((r["i"], r["j"]), {})[r["k"]] = pair_to_gq(
             (r["re"], r["im"]))
     return GradedAlgebra(degrees, structure, labels=doc.get("labels"))
 
 
-def cartan_hint_from_json(doc: dict):
+def cartan_hint_from_json(doc: dict, dim: int):
     hint = doc.get("cartanHint")
     if hint is None:
         return None
+    for v in hint:
+        for r in v:
+            _check_index("cartanHint", r, "k", dim)
     return [_records_to_vec(v) for v in hint]
 
 

@@ -15,6 +15,7 @@ from colorlie.algebra import (
 from colorlie.errors import DimensionMismatch, NotClosed
 from colorlie.grading import ZERO_DEGREE, degree_add, sign_int
 from colorlie.linalg import SMat, unit_vec
+from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
 
@@ -75,17 +76,24 @@ def test_check_axioms_fixture(g4222):
 
 
 def test_perturbed_structure_fails_with_witness(g4222):
-    structure = {k: dict(v) for k, v in g4222.structure.items()}
-    (i, j) = next(iter(sorted(structure)))
-    k = next(iter(structure[(i, j)]))
-    structure[(i, j)][k] = structure[(i, j)][k] + ONE
-    bad = GradedAlgebra(list(g4222.degrees), structure)
-    report = check_axioms(bad)
-    assert not report.ok
-    assert report.jacobi is not None or report.closure is not None
-    # the witness names a concrete basis triple/pair with both sides
-    witness = report.jacobi or report.closure
-    assert isinstance(witness[0], tuple)
+    # graded Jacobi is "ad is a color representation": both checks agree
+    assert check_axioms(g4222).ok
+    assert is_representation(adjoint_representation(g4222)).ok
+    pairs = sorted(g4222.structure)
+    for (i, j) in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+        structure = {key: dict(v) for key, v in g4222.structure.items()}
+        k = next(iter(structure[(i, j)]))
+        structure[(i, j)][k] = structure[(i, j)][k] + ONE
+        bad = GradedAlgebra(list(g4222.degrees), structure)
+        report = check_axioms(bad)
+        assert not report.ok
+        assert report.jacobi is not None or report.closure is not None
+        # the witness names a concrete basis triple/pair with both sides
+        witness = report.jacobi or report.closure
+        assert isinstance(witness[0], tuple)
+        # ... and the Jacobi triple starts with the failing homomorphism pair
+        rep_witness = is_representation(adjoint_representation(bad)).witness
+        assert report.jacobi[0][:2] == rep_witness[:2]
 
 
 def test_from_matrices_not_closed():

@@ -134,6 +134,11 @@ def test_degenerate_order_exits_1(capsys, alg_file):
     # a JSON boolean as a structure constant
     {"dim": 2, "degrees": [[0, 0], [0, 0]],
      "structure": [{"i": 0, "j": 1, "k": 1, "re": True, "im": "0"}]},
+    # cartanHint index k out of range, and a JSON boolean as that index
+    {"dim": 2, "degrees": [[0, 0], [0, 0]], "structure": [],
+     "cartanHint": [[{"k": 7, "re": "1", "im": "0"}]]},
+    {"dim": 2, "degrees": [[0, 0], [0, 0]], "structure": [],
+     "cartanHint": [[{"k": True, "re": "1", "im": "0"}]]},
 ])
 def test_malformed_algebra_exits_2(capsys, tmp_path, doc):
     bad = tmp_path / "bad.json"
@@ -143,3 +148,4 @@ def test_malformed_algebra_exits_2(capsys, tmp_path, doc):
     assert out == ""
     assert "input error" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+

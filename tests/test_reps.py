@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from colorlie.algebra import GradedAlgebra
 from colorlie.errors import (
     DimensionMismatch,
     NotSelfCentralizing,
+    SingularForm,
     UngradedFirstFactor,
 )
 from colorlie.grading import degree_add
@@ -25,6 +27,7 @@ from colorlie.reps import (
     weight_decomposition,
 )
 from colorlie.roots import reflect
+from colorlie.scalars import ONE
 
 
 def _eps(i, rank=5, s=1):
@@ -202,3 +205,9 @@ def test_grading_round_trip_defining(defn4222, rs4222):
         o = original.pop()
         shifts.add((o[0] ^ synth[mu][0], o[1] ^ synth[mu][1]))
     assert len(shifts) == 1
+
+
+def test_casimir_needs_nondegenerate_killing_form():
+    heisenberg = GradedAlgebra([(0, 0)] * 3, {(0, 1): {2: ONE}})
+    with pytest.raises(SingularForm, match="no Casimir element"):
+        casimir_matrix(trivial_representation(heisenberg))

@@ -17,7 +17,7 @@ def test_algebra_round_trip(g4222):
     assert back.degrees == g4222.degrees
     assert back.structure == g4222.structure
     assert back.labels == g4222.labels
-    assert serialize.cartan_hint_from_json(json.loads(text)) == hint
+    assert serialize.cartan_hint_from_json(json.loads(text), g4222.dim) == hint
 
 
 def test_structure_records_are_rational_strings(g4222):
