@@ -78,7 +78,7 @@ def test_module_verb(capsys, defining_file, verb):
     ("first", "validate: graded Jacobi: FAIL at (0, 1, 4) lhs={} rhs={5: GQ(-1)}\n"),
     ("middle", "validate: graded Jacobi: FAIL at (1, 9, 29) lhs={} rhs={37: GQ(-1)}\n"),
     ("last", "validate: graded Jacobi: FAIL at (7, 41, 44) lhs={} rhs={8: GQ(-1)}\n"),
-])
+], ids=["first", "middle", "last"])
 def test_validate_perturbed(capsys, tmp_path, where, stderr):
     """so(4,2,2,2) with 1 added to the real part of one structure record
     fails `validate` with a fixed report and witness."""
