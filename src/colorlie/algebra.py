@@ -2,8 +2,8 @@
 
 A GradedAlgebra stores its bracket table sparsely, keyed by ordered basis
 pairs (i, j) with i < j; the (j, i) entry is recovered through the graded
-antisymmetry sign, and a diagonal entry (i, i) is stored only when the degree
-pairing allows [e_i, e_i] to be nonzero.
+antisymmetry sign.  No diagonal entry is stored: eps(a, a) = 1 for every
+degree, so graded antisymmetry forces [e_i, e_i] = 0.
 """
 from __future__ import annotations
 
@@ -15,13 +15,13 @@ from .grading import (
     ZERO_DEGREE,
     check_degree,
     degree_add,
-    degree_pairing,
     sign,
 )
 from .linalg import (
     SMat,
     SubspaceBasis,
     closure,
+    graded_commutator,
     kernel_basis,
     lincomb,
     unit_vec,
@@ -60,12 +60,9 @@ class GradedAlgebra:
                     )
                 self.structure[(i, j)] = coeffs
             elif i == j:
-                if degree_pairing(self.degrees[i], self.degrees[i]):
-                    self.structure[(i, i)] = coeffs
-                elif coeffs:
-                    raise ValueError(
-                        f"[e_{i},e_{i}] must vanish for commuting degree pairing"
-                    )
+                raise ValueError(
+                    f"[e_{i},e_{i}] must vanish for commuting degree pairing"
+                )
             else:
                 # canonicalize through the antisymmetry sign
                 s = sign(self.degrees[i], self.degrees[j])
@@ -83,7 +80,7 @@ class GradedAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse coefficient vector."""
-        if i < j or i == j:
+        if i <= j:
             return self.structure.get((i, j), {})
         base = self.structure.get((j, i))
         if not base:
@@ -136,20 +133,21 @@ class GradedAlgebra:
 
 @dataclass
 class AxiomReport:
-    """Per-axiom verdicts; a None witness means PASS."""
+    """Per-axiom verdicts; a None witness means PASS.  Graded antisymmetry
+    always passes: GradedAlgebra.__init__ rejects brackets that break it, and
+    bracket_basis derives each (j, i) with j > i from the stored (i, j)."""
 
     closure: tuple | None = None
-    antisymmetry: tuple | None = None
     jacobi: tuple | None = None
 
     @property
     def ok(self) -> bool:
-        return self.closure is None and self.antisymmetry is None and self.jacobi is None
+        return self.closure is None and self.jacobi is None
 
     def lines(self):
         for name, witness in (
             ("grading closure", self.closure),
-            ("graded antisymmetry", self.antisymmetry),
+            ("graded antisymmetry", None),
             ("graded Jacobi", self.jacobi),
         ):
             if witness is None:
@@ -186,43 +184,34 @@ class MatrixRealization:
             raise ValueError(f"matrix is not homogeneous: degrees {sorted(degs)}")
         return next(iter(degs)) if degs else ZERO_DEGREE
 
-    def graded_commutator(self, a: int, b: int) -> SMat:
-        x, y = self.matrices[a], self.matrices[b]
-        s = sign(self.basis_degrees[a], self.basis_degrees[b])
-        return (x @ y) - (y @ x).scaled(s)
-
 
 def homomorphism_failure(g: GradedAlgebra, mats: list):
-    """First basis pair (i <= j) where
+    """First basis pair (i < j) where
     pi([e_i,e_j]) != pi(e_i)pi(e_j) - eps(|e_i|,|e_j|) pi(e_j)pi(e_i),
     as (i, j, lhs, rhs), or None when mats is a color homomorphism.
 
-    Pairs i > j follow from graded antisymmetry, which GradedAlgebra enforces.
+    Pairs i > j follow from graded antisymmetry, which GradedAlgebra enforces;
+    pairs i = j hold for any matrices, since [e_i,e_i] = 0 and eps(a,a) = 1.
     """
     for i in range(g.dim):
-        mi = mats[i]
-        for j in range(i, g.dim):
-            mj = mats[j]
-            rhs = mi @ mj
-            eps = sign(g.degrees[i], g.degrees[j])
-            for row, other in zip(rhs.rows, (mj @ mi).rows):
-                vec_axpy(row, -eps, other)
-            lhs = lincomb(mats, g.bracket_basis(i, j), mi.nrows)
+        for j in range(i + 1, g.dim):
+            rhs = graded_commutator(mats[i], mats[j], sign(g.degrees[i], g.degrees[j]))
+            lhs = lincomb(mats, g.bracket_basis(i, j), rhs.nrows)
             if lhs != rhs:
                 return i, j, lhs, rhs
     return None
 
 
 def check_axioms(g: GradedAlgebra) -> AxiomReport:
-    """Verify grading closure and graded antisymmetry on all basis pairs, and
-    graded Jacobi as "ad is a color representation": for all z,
-    [x,[y,z]] = [[x,y],z] + eps(|x|,|y|) [y,[x,z]] says exactly
-    ad[x,y] = ad x ad y - eps(|x|,|y|) ad y ad x (homomorphism_failure).
+    """Verify grading closure on all basis pairs (graded antisymmetry holds by
+    construction, see AxiomReport), and graded Jacobi as "ad is a color
+    representation": for all z, [x,[y,z]] = [[x,y],z] + eps(|x|,|y|) [y,[x,z]]
+    says exactly ad[x,y] = ad x ad y - eps(|x|,|y|) ad y ad x
+    (homomorphism_failure).
     Report the first witness per axiom; the Jacobi witness (i, j, k) is the
     first failing pair and its first differing column."""
     report = AxiomReport()
     degs = g.degrees
-    n = g.dim
     # closure
     for (i, j), coeffs in sorted(g.structure.items()):
         target = degree_add(degs[i], degs[j])
@@ -232,17 +221,6 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
                 break
         if report.closure:
             break
-    # antisymmetry (including the [e_i, e_i] = 0 requirement when the
-    # pairing vanishes; stored-half consistency is enforced on top)
-    for i in range(n):
-        if report.antisymmetry:
-            break
-        for j in range(i, n):
-            lhs = g.bracket_basis(i, j)
-            rhs = vec_scale(g.bracket_basis(j, i), -sign(degs[i], degs[j]))
-            if lhs != rhs:
-                report.antisymmetry = ((i, j), lhs, rhs)
-                break
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
     failure = homomorphism_failure(g, g.ad_matrices())
     if failure:
@@ -275,9 +253,9 @@ def from_matrices(m: MatrixRealization) -> GradedAlgebra:
             raise ValueError("basis matrices are not linearly independent")
     structure = {}
     for i in range(n):
-        start = i if degree_pairing(m.basis_degrees[i], m.basis_degrees[i]) else i + 1
-        for j in range(start, n):
-            comm = m.graded_commutator(i, j)
+        for j in range(i + 1, n):  # [x, x] = 0 for homogeneous x: eps(a, a) = 1
+            comm = graded_commutator(m.matrices[i], m.matrices[j],
+                                     sign(m.basis_degrees[i], m.basis_degrees[j]))
             flat = {}
             for r, row in enumerate(comm.rows):
                 for c, v in row.items():
@@ -336,95 +314,16 @@ def killing_radical(g: GradedAlgebra) -> list:
     return kernel_basis(killing_form(g))
 
 
-def subalgebra_on_indices(g: GradedAlgebra, indices) -> GradedAlgebra:
-    """The (assumed closed) subalgebra spanned by the given basis indices,
-    re-expressed on its own basis."""
-    indices = list(indices)
-    pos = {idx: k for k, idx in enumerate(indices)}
-    structure = {}
-    for a, i in enumerate(indices):
-        for b, j in enumerate(indices):
-            if a > b:
-                continue
-            coeffs = g.bracket_basis(i, j)
-            if coeffs:
-                if any(k not in pos for k in coeffs):
-                    raise ValueError("index set does not span a subalgebra")
-                structure[(a, b)] = {pos[k]: v for k, v in coeffs.items()}
-    labels = [g.label(i) for i in indices] if g.labels else None
-    return GradedAlgebra([g.degrees[i] for i in indices], structure, labels=labels)
-
-
-def subalgebra_on_span(g: GradedAlgebra, vectors) -> GradedAlgebra:
-    """Subalgebra on an explicit basis of coefficient vectors (must be closed
-    under the bracket); degrees must be determinate per basis vector."""
-    sb = SubspaceBasis()
-    for v in vectors:
-        if not sb.add(v):
-            raise ValueError("spanning vectors are dependent")
-    degs = []
-    for v in sb.inserted:
-        vdegs = {g.degrees[i] for i in v}
-        if len(vdegs) != 1:
-            raise ValueError("spanning vector is not homogeneous")
-        degs.append(vdegs.pop())
-    structure = {}
-    for a in range(sb.dim):
-        for b in range(a, sb.dim):
-            br = g.bracket(sb.inserted[a], sb.inserted[b])
-            if br:
-                coords = sb.coords(br)
-                if coords is None:
-                    raise ValueError("span is not closed under the bracket")
-                if coords:
-                    structure[(a, b)] = coords
-    return GradedAlgebra(degs, structure)
-
-
-def _derived_and_center(g: GradedAlgebra):
-    derived = SubspaceBasis()
-    for (i, j) in g.structure:
-        derived.add(dict(g.bracket_basis(i, j)))
-    # center: joint kernel of all ad(e_i)
-    stacked = SMat(g.dim * g.dim, g.dim)
-    r = 0
-    for m in g.ad_matrices():
-        for row in m.rows:
-            stacked.rows[r] = dict(row)
-            r += 1
-    center = kernel_basis(stacked)
-    return derived, center
-
-
-def is_reductive_even_part(g: GradedAlgebra):
-    """Check that the degree-(0,0) part is reductive: it must decompose as
-    center + derived subalgebra with the derived part's own Killing form
-    nondegenerate (Cartan's criterion in characteristic zero)."""
-    even = subalgebra_on_indices(g, g.degree_indices(ZERO_DEGREE))
-    derived, center = _derived_and_center(even)
-    joint = SubspaceBasis()
-    joint.extend(dict(r) for r in derived.rows)
-    cdim = 0
-    for v in center:
-        if joint.add(v):
-            cdim += 1
-    if cdim != len(center) or joint.dim != even.dim:
-        return False
-    if derived.dim:
-        try:
-            dsub = subalgebra_on_span(even, [dict(r) for r in derived.rows])
-        except ValueError:
-            return False
-        if killing_radical(dsub):
-            return False
-    return True
-
-
 def is_basic(g: GradedAlgebra) -> bool:
-    """Nondegenerate Killing form and reductive degree-(0,0) part."""
-    if killing_radical(g):
-        return False
-    return is_reductive_even_part(g)
+    """Nondegenerate Killing form and reductive degree-(0,0) part.
+
+    The first implies the second.  K is zero across distinct degrees, so a
+    nondegenerate K stays nondegenerate on g^(0,0), where it is the trace form
+    of the representation ad of the Lie algebra g^(0,0) on g; a Lie algebra
+    with a finite-dimensional representation whose trace form is
+    nondegenerate is reductive (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. I, 6.4, Prop. 5)."""
+    return not killing_radical(g)
 
 
 @dataclass

@@ -24,10 +24,6 @@ def sign(a: Degree, b: Degree) -> GQ:
     return MINUS_ONE if degree_pairing(a, b) else ONE
 
 
-def sign_int(a: Degree, b: Degree) -> int:
-    return -1 if degree_pairing(a, b) else 1
-
-
 def check_degree(a) -> Degree:
     # bits must be real ints: a JSON true/false is not a degree bit
     if (

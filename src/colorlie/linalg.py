@@ -36,17 +36,6 @@ def vec_scale(x: dict, a: GQ) -> dict:
     return {j: a * xj for j, xj in x.items()}
 
 
-def vec_dot(x: dict, y: dict) -> GQ:
-    if len(x) > len(y):
-        x, y = y, x
-    s = ZERO
-    for j, xj in x.items():
-        yj = y.get(j)
-        if yj is not None:
-            s = s + xj * yj
-    return s
-
-
 def unit_vec(j: int) -> dict:
     return {j: ONE}
 
@@ -183,6 +172,14 @@ def lincomb(mats: list, x: dict, n: int) -> SMat:
     return SMat(n, n, rows)
 
 
+def graded_commutator(x: SMat, y: SMat, eps: GQ) -> SMat:
+    """x @ y - eps * (y @ x), subtracted row by row into x @ y."""
+    out = x @ y
+    for row, other in zip(out.rows, (y @ x).rows):
+        vec_axpy(row, -eps, other)
+    return out
+
+
 def kron(a: SMat, b: SMat) -> SMat:
     """Kronecker product; index (p, q) -> p * b.nrows + q."""
     nb = b.nrows
@@ -297,12 +294,6 @@ def closure(v: dict, ops: list) -> SubspaceBasis:
     return sb
 
 
-def span_dim(vectors) -> int:
-    sb = SubspaceBasis()
-    sb.extend(vectors)
-    return sb.dim
-
-
 def kernel_basis(m: SMat) -> list:
     """Basis of {x : m @ x = 0} as sparse vectors."""
     sb = SubspaceBasis()
@@ -323,34 +314,21 @@ def kernel_basis(m: SMat) -> list:
     return basis
 
 
-def solve_gram(gram: SMat, rhs: dict) -> dict:
-    """Solve gram @ x = rhs for nonsingular symmetric gram."""
-    sb = SubspaceBasis()
-    n = gram.nrows
-    aug = []
-    for i in range(n):
-        row = dict(gram.rows[i])
-        b = rhs.get(i)
-        if b:
-            row[n] = b
-        aug.append(row)
-    for row in aug:
-        sb.add(row)
-    # after full reduction, each echelon row with pivot j < n reads x_j = -coef
-    x: dict = {}
-    for i, p in enumerate(sb.pivots):
-        if p == n:
-            raise SingularForm("inconsistent or singular system")
-        row = self_row = sb.rows[i]
-        extra = [j for j in self_row if j != p and j != n]
-        if extra:
-            raise SingularForm("singular gram matrix")
-        c = self_row.get(n)
-        if c:
-            x[p] = c
-    if sb.dim < n:
-        raise SingularForm("singular gram matrix")
-    return x
+def joint_kernel(vectors: list, ops: list) -> list:
+    """Vectors in span(vectors) killed by every operator: the kernel of the
+    images stacked coordinate by coordinate, mapped back to the ambient space."""
+    rows = []
+    for op in ops:
+        images = [op.matvec(v) for v in vectors]
+        for coord in sorted(set().union(*images)):
+            rows.append({j: im[coord] for j, im in enumerate(images) if coord in im})
+    out = []
+    for combo in kernel_basis(SMat(len(rows), len(vectors), rows)):
+        v: dict = {}
+        for j, c in combo.items():
+            vec_axpy(v, c, vectors[j])
+        out.append(v)
+    return out
 
 
 def invert(m: SMat) -> SMat:
@@ -369,14 +347,6 @@ def invert(m: SMat) -> SMat:
         for i, v in c.items():
             out.rows[i][j] = v
     return out
-
-
-def rank(m: SMat) -> int:
-    sb = SubspaceBasis()
-    for row in m.rows:
-        if row:
-            sb.add(dict(row))
-    return sb.dim
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .linalg import (
     closure,
     eigensplit,
     invert,
-    kernel_basis,
+    joint_kernel,
     kron,
     lincomb,
     unit_vec,
@@ -233,28 +233,6 @@ def _negative_root_operators(rep: Representation, rs: RootSystem) -> list:
     return ops
 
 
-def _joint_kernel(vectors: list, ops: list) -> list:
-    """Vectors in span(vectors) killed by every operator."""
-    if not vectors:
-        return []
-    rows = []
-    for op in ops:
-        images = [op.matvec(v) for v in vectors]
-        support = sorted(set().union(*[im.keys() for im in images]) or set())
-        for coord in support:
-            rows.append({j: im[coord] for j, im in enumerate(images) if coord in im})
-    if not rows:
-        return list(vectors)
-    ker = kernel_basis(SMat(len(rows), len(vectors), rows))
-    out = []
-    for combo in ker:
-        v: dict = {}
-        for j, c in combo.items():
-            vec_axpy(v, c, vectors[j])
-        out.append(v)
-    return out
-
-
 def highest_weight_vectors(rep: Representation, rs: RootSystem):
     """(weight, kernel basis) pairs; weights asserted dominant integral."""
     if rs.positive is None:
@@ -263,7 +241,7 @@ def highest_weight_vectors(rep: Representation, rs: RootSystem):
     ops = _positive_root_operators(rep, rs)
     out = []
     for mu in wd.weights:
-        ker = _joint_kernel(wd.spaces[mu], ops)
+        ker = joint_kernel(wd.spaces[mu], ops)
         if not ker:
             continue
         for alpha in rs.simple:
@@ -308,7 +286,7 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
                 for w in basis:
                     assert sb.contains(m.matvec(w)), "component is not invariant"
             # 1-dimensional highest-weight line inside the component
-            hw_line = _joint_kernel(basis, raising)
+            hw_line = joint_kernel(basis, raising)
             assert len(hw_line) == 1, (
                 f"highest-weight space of the lambda={mu} component has "
                 f"dimension {len(hw_line)}"

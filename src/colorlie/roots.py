@@ -22,7 +22,7 @@ from .linalg import (
     SubspaceBasis,
     eigensplit,
     invert,
-    kernel_basis,
+    joint_kernel,
     minimal_polynomial,
     poly_is_squarefree,
     unit_vec,
@@ -100,20 +100,10 @@ def validate_cartan(g: GradedAlgebra, basis) -> CartanSubalgebra:
 
 
 def _centralizer_in_even(g: GradedAlgebra, basis) -> list:
+    """Basis of {x in g^(0,0) : [h, x] = 0 for every h in basis}; each h lies
+    in g^(0,0), so ad(h) maps g^(0,0) into itself."""
     even = g.degree_indices(ZERO_DEGREE)
-    pos = {idx: k for k, idx in enumerate(even)}
-    # kernel of the stacked restrictions: x in g^(0,0) with [h, x] = 0 for all h
-    rows = []
-    for h in basis:
-        m = g.ad(h)
-        for k, idx in enumerate(even):
-            row = m.rows[idx]
-            rows.append({pos[j]: v for j, v in row.items() if j in pos})
-    ker = kernel_basis(SMat(len(rows), len(even), rows))
-    out = []
-    for v in ker:
-        out.append({even[j]: c for j, c in v.items()})
-    return out
+    return joint_kernel([unit_vec(i) for i in even], [g.ad(h) for h in basis])
 
 
 def find_cartan(g: GradedAlgebra, hint=None, seed: int = 0, retries: int = 12) -> CartanSubalgebra:
@@ -226,13 +216,9 @@ class RootSystem:
         return 2 * self.inner(beta, alpha) / self.inner(alpha, alpha)
 
 
-def killing_dual(rs_or_cartan, alpha) -> dict:
-    """The unique H_alpha in t with K(H_alpha, H) = alpha(H) for all H in t."""
-    if isinstance(rs_or_cartan, RootSystem):
-        cartan, gram_inv = rs_or_cartan.cartan, rs_or_cartan.gram_inv
-    else:
-        cartan = rs_or_cartan
-        gram_inv = invert(cartan.gram)
+def killing_dual(cartan: CartanSubalgebra, gram_inv: SMat, alpha) -> dict:
+    """The unique H_alpha in t with K(H_alpha, H) = alpha(H) for all H in t;
+    gram_inv is the inverse of cartan.gram."""
     coeffs = gram_inv.matvec({i: GQ(a) for i, a in enumerate(alpha) if a})
     h: dict = {}
     for i, c in coeffs.items():
@@ -277,7 +263,6 @@ def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:
                         "generalized centralizer in g^(0,0) exceeds the Cartan"
                     )
     assert total == g.dim, "triangular decomposition does not fill the algebra"
-    cartan = t
     roots = []
     for alpha in sorted(by_alpha):
         spaces = by_alpha[alpha]
@@ -286,9 +271,9 @@ def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:
                 raise AssertionError(
                     f"dim g_alpha^a > 1 for alpha={alpha}, a={a}"
                 )
-        h_alpha = killing_dual(cartan, alpha)
+        h_alpha = killing_dual(t, gram_inv, alpha)
         roots.append(RootDatum(alpha, spaces, h_alpha))
-    rs = RootSystem(cartan, roots, zero_part, gram_inv)
+    rs = RootSystem(t, roots, zero_part, gram_inv)
     # closed under negation
     for rd in roots:
         neg = tuple(-x for x in rd.alpha)
@@ -466,30 +451,13 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
 
 def simple_root_coordinates(simple, beta):
     """Coordinates of beta over the simple roots (exact solve), or None when
-    beta is outside their rational span."""
-    cols = [tuple(a) for a in simple]
-    n = len(beta)
-    rows = []
-    for i in range(n):
-        row = {j: GQ(cols[j][i]) for j in range(len(cols)) if cols[j][i]}
-        row[len(cols)] = GQ(beta[i])
-        rows.append(row)
+    beta is outside their rational span or the simple roots are dependent."""
     sb = SubspaceBasis()
-    for r in rows:
-        if r:
-            sb.add(r)
-    coeffs = [Fraction(0)] * len(cols)
-    for i, p in enumerate(sb.pivots):
-        if p == len(cols):
-            return None  # inconsistent: beta not in the span
-        extra = [j for j in sb.rows[i] if j != p and j != len(cols)]
-        if extra:
-            return None  # underdetermined would need dependent simple roots
-        c = sb.rows[i].get(len(cols), ZERO)
-        coeffs[p] = c.re
-        if c.im:
-            return None
-    return coeffs
+    sb.extend({i: GQ(x) for i, x in enumerate(a) if x} for a in simple)
+    coords = sb.coords({i: GQ(x) for i, x in enumerate(beta) if x})
+    if coords is None or sb.dim < len(simple):
+        return None
+    return [coords.get(k, ZERO).re for k in range(len(simple))]
 
 
 def root_degree(rs: RootSystem, beta) -> tuple:

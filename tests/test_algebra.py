@@ -10,10 +10,9 @@ from colorlie.algebra import (
     is_basic,
     killing_form,
     killing_radical,
-    subalgebra_on_indices,
 )
 from colorlie.errors import DimensionMismatch, NotClosed
-from colorlie.grading import ZERO_DEGREE, degree_add, sign_int
+from colorlie.grading import degree_add, sign
 from colorlie.linalg import SMat, unit_vec
 from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
@@ -126,10 +125,10 @@ def test_killing_form_homogeneous_and_invariant(g4222):
         return acc
 
     for (x, y, z) in [(0, 7, 9), (5, 12, 40), (3, 3, 30)]:
-        s = sign_int(g4222.degrees[x], g4222.degrees[y])
+        s = sign(g4222.degrees[x], g4222.degrees[y])
         lhs = k(g4222.bracket_basis(x, y), unit_vec(z))
         rhs = k(unit_vec(y), g4222.bracket_basis(x, z))
-        assert lhs + GQ(s) * rhs == GQ(0)
+        assert lhs + s * rhs == GQ(0)
 
 
 def test_killing_radical_and_basic(g4222):
@@ -139,13 +138,6 @@ def test_killing_radical_and_basic(g4222):
     h = heisenberg()
     assert len(killing_radical(h)) == 3
     assert not is_basic(h)
-
-
-def test_subalgebra_on_indices(g4222):
-    even = g4222.degree_indices(ZERO_DEGREE)
-    sub = subalgebra_on_indices(g4222, even)
-    assert sub.dim == len(even)
-    assert check_axioms(sub).ok
 
 
 def test_simplicity_probe(g4222):

@@ -9,8 +9,8 @@ from colorlie.families import (
     so_cartan_hint,
     so_pqrs,
 )
-from colorlie.grading import ZERO_DEGREE
-from colorlie.linalg import SubspaceBasis
+from colorlie.grading import ZERO_DEGREE, sign
+from colorlie.linalg import SubspaceBasis, graded_commutator
 from colorlie.scalars import GQ
 
 
@@ -61,7 +61,8 @@ def test_ordinary_so_n_special_case():
     for a in range(len(real.matrices)):
         for b in range(len(real.matrices)):
             x, y = real.matrices[a], real.matrices[b]
-            assert real.graded_commutator(a, b) == (x @ y) - (y @ x)
+            eps = sign(real.basis_degrees[a], real.basis_degrees[b])
+            assert graded_commutator(x, y, eps) == (x @ y) - (y @ x)
     g = from_matrices(real)
     assert check_axioms(g).ok
 

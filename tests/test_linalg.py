@@ -8,7 +8,9 @@ from colorlie.linalg import (
     SubspaceBasis,
     eigensplit,
     gaussian_rational_roots,
+    graded_commutator,
     invert,
+    joint_kernel,
     kernel_basis,
     kron,
     minimal_polynomial,
@@ -16,12 +18,8 @@ from colorlie.linalg import (
     poly_is_squarefree,
     poly_lcm,
     poly_mul,
-    rank,
-    solve_gram,
-    span_dim,
     unit_vec,
     vec_axpy,
-    vec_dot,
     vec_scale,
 )
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE, ZERO
@@ -33,7 +31,7 @@ def test_vec_ops():
     vec_axpy(y, GQ(2), {0: ONE, 1: MINUS_ONE})
     assert y == {0: GQ(3), 1: GQ(-2), 2: I}
     assert vec_scale(x, ZERO) == {}
-    assert vec_dot({0: I}, {0: I}) == GQ(-1)
+    assert vec_scale({0: I}, I) == {0: GQ(-1)}
     assert unit_vec(3) == {3: ONE}
 
 
@@ -69,9 +67,11 @@ def test_subspace_basis_membership_and_coords():
 
 def test_kernel_rank_invert():
     m = SMat.from_dense([[ONE, GQ(2), GQ(3)], [GQ(2), GQ(4), GQ(6)]])
-    assert rank(m) == 1
     ker = kernel_basis(m)
     assert len(ker) == 2
+    rows = SubspaceBasis()
+    rows.extend(dict(r) for r in m.rows)
+    assert rows.dim == m.ncols - len(ker) == 1
     for v in ker:
         assert not m.matvec(v)
     a = SMat.from_dense([[ONE, I], [ZERO, GQ(2)]])
@@ -81,16 +81,52 @@ def test_kernel_rank_invert():
         invert(SMat.from_dense([[ONE, ONE], [ONE, ONE]]))
 
 
-def test_solve_gram():
+def test_invert_solves_gram_system():
     g = SMat.from_dense([[GQ(2), ONE], [ONE, GQ(2)]])
-    x = solve_gram(g, {0: GQ(4), 1: GQ(5)})
+    x = invert(g).matvec({0: GQ(4), 1: GQ(5)})
     assert g.matvec(x) == {0: GQ(4), 1: GQ(5)}
     with pytest.raises(SingularForm):
-        solve_gram(SMat.from_dense([[ONE, ONE], [ONE, ONE]]), {0: ONE})
+        invert(SMat.from_dense([[ONE, ONE], [ONE, ONE]]))
 
 
 def test_span_dim():
-    assert span_dim([{0: ONE}, {0: GQ(2)}, {1: ONE}]) == 2
+    sb = SubspaceBasis()
+    sb.extend([{0: ONE}, {0: GQ(2)}, {1: ONE}])
+    assert sb.dim == 2
+
+
+def test_joint_kernel():
+    # e0 -> e1 and e2 -> e1 under a; b kills e0, e1, e2 and sends e3 -> e0
+    a = SMat.from_dense([[ZERO] * 4, [ONE, ZERO, ONE, ZERO], [ZERO] * 4, [ZERO] * 4])
+    b = SMat.from_dense([[ZERO, ZERO, ZERO, ONE]] + [[ZERO] * 4] * 3)
+    vectors = [{0: ONE}, {1: I}, {2: ONE, 3: ONE}, {3: GQ(2)}]
+    ops = [a, b]
+    ker = joint_kernel(vectors, ops)
+    for v in ker:
+        assert v and all(not op.matvec(v) for op in ops)
+    span = SubspaceBasis()
+    span.extend(ker)
+    assert span.dim == len(ker)
+    stacked = SubspaceBasis()  # one row per (operator, coordinate) of the images
+    for op in ops:
+        images = [op.matvec(v) for v in vectors]
+        for c in range(4):
+            stacked.add({j: im[c] for j, im in enumerate(images) if c in im})
+    assert stacked.dim == 2 and len(ker) == len(vectors) - stacked.dim
+    # no operators: the whole span; no vectors: nothing
+    assert joint_kernel(vectors, []) == vectors
+    assert joint_kernel([], ops) == []
+
+
+def test_graded_commutator():
+    x = SMat.from_dense([[ZERO, ONE], [ZERO, ZERO]])
+    y = SMat.from_dense([[ZERO, ZERO], [ONE, ZERO]])
+    h = SMat.from_dense([[ONE, ZERO], [ZERO, MINUS_ONE]])
+    assert graded_commutator(x, y, ONE) == h  # [x, y] = xy - yx
+    assert graded_commutator(x, y, MINUS_ONE) == SMat.identity(2)  # xy + yx
+    assert graded_commutator(x, x, ONE) == SMat(2, 2)
+    for eps in (ONE, MINUS_ONE, I):
+        assert graded_commutator(h, y, eps) == (h @ y) - (y @ h).scaled(eps)
 
 
 def test_polynomials():

@@ -131,7 +131,7 @@ def test_killing_dual_defining_property(g4222, rs4222):
         return acc
 
     alpha = rs4222.roots[0].alpha
-    h = killing_dual(rs4222, alpha)
+    h = killing_dual(rs4222.cartan, rs4222.gram_inv, alpha)
     for i, basis_vec in enumerate(rs4222.cartan.basis):
         assert k(h, basis_vec) == GQ(alpha[i])
 
@@ -183,14 +183,27 @@ def test_explicit_order_and_degeneracy(g4222, rs4222):
 
 
 def test_simple_root_coordinates(rs4222):
+    def recon(coeffs, simple):
+        out = [Fraction(0)] * 5
+        for c, a in zip(coeffs, simple):
+            for i, x in enumerate(a):
+                out[i] += c * x
+        return tuple(out)
+
     beta = _eps(0, 2, 1, 1)  # e1 + e3
     coeffs = simple_root_coordinates(rs4222.simple, beta)
-    recon = [Fraction(0)] * 5
-    for c, a in zip(coeffs, rs4222.simple):
-        for i, x in enumerate(a):
-            recon[i] += c * x
-    assert tuple(recon) == beta
-    assert simple_root_coordinates(rs4222.simple, (Fraction(1, 2),) * 5) is None or True
+    assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+    assert recon(coeffs, rs4222.simple) == beta
+    # a weight in the span but off the root lattice
+    half = (Fraction(1, 2),) * 5
+    coeffs = simple_root_coordinates(rs4222.simple, half)
+    assert coeffs is not None and any(c.denominator != 1 for c in coeffs)
+    assert recon(coeffs, rs4222.simple) == half
+    # outside the span of two simple roots
+    two = rs4222.simple[:2]
+    assert simple_root_coordinates(two, rs4222.simple[2]) is None
+    # dependent "simple roots" give no coordinates
+    assert simple_root_coordinates([two[0], two[0]], two[0]) is None
 
 
 def test_reflection_preserves_root_set(rs4222):
