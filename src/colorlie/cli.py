@@ -156,6 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="algebra/representation JSON file, or - for stdin")
         p.add_argument("-o", "--output", default="-",
                        help="output file, or - for stdout")
+
+    def pipeline(p):
+        common(p)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the Cartan auto-search")
         p.add_argument("--order", default=None,
@@ -166,23 +169,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("roots", help="root-system report")
-    common(p)
+    pipeline(p)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("dynkin", help="enhanced Dynkin diagram")
-    common(p)
+    pipeline(p)
     p.add_argument("--enhanced", action="store_true",
                    help="accepted for compatibility; diagrams are always enhanced")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(func=_cmd_dynkin)
 
     p = sub.add_parser("rep-decompose", help="complete-reducibility decomposition")
-    common(p)
+    pipeline(p)
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.set_defaults(func=_cmd_rep_decompose)
 
     p = sub.add_parser("casimir", help="Casimir centrality + component eigenvalues")
-    common(p)
+    pipeline(p)
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.set_defaults(func=_cmd_casimir)
 

@@ -51,10 +51,6 @@ class NonIntegralWeight(ColorLieError):
     pass
 
 
-class LatticeSolveFailed(ColorLieError):
-    pass
-
-
 class DecompositionIncomplete(ColorLieError):
     pass
 

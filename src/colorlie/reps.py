@@ -20,7 +20,6 @@ from .algebra import (
 from .errors import (
     DecompositionIncomplete,
     DimensionMismatch,
-    LatticeSolveFailed,
     NonIntegralWeight,
     NotSelfCentralizing,
     SingularForm,
@@ -40,7 +39,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .roots import RootSystem, is_self_centralizing, root_degree, simple_root_coordinates
+from .roots import RootSystem, is_self_centralizing, root_degree
 from .scalars import GQ, ONE
 
 
@@ -191,8 +190,9 @@ class WeightDecomposition:
 
 
 def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposition:
-    """Joint exact eigenspaces of {pi(H)} over the Cartan basis; asserts every
-    weight is integral against the root system."""
+    """Joint exact eigenspaces of {pi(H)} over the Cartan basis; raises
+    NonIntegralWeight unless every weight is integral against the simple
+    coroots (and so against every root)."""
     ops = [rep.apply(h) for h in rs.cartan.basis]
     pieces = eigensplit([unit_vec(i) for i in range(rep.dim)], ops)
     spaces = {}
@@ -201,32 +201,19 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
         if any(not v.is_rational() for v in eig):
             raise NonIntegralWeight("weight takes a non-rational value on the Cartan")
         mu = tuple(v.re for v in eig)
-        for rd in rs.roots:
-            c = rs.cartan_number(mu, rd.alpha)
-            if c.denominator != 1:
-                raise NonIntegralWeight(
-                    f"weight {mu} is not integral against root {rd.alpha}"
-                )
+        if any(c.denominator != 1 for c in rs.pairings(mu)):
+            raise NonIntegralWeight(f"weight {mu} is not integral")
         spaces[mu] = vecs
         total += len(vecs)
     assert total == rep.dim, "weight spaces do not fill the module"
     return WeightDecomposition(sorted(spaces), spaces)
 
 
-def _positive_root_operators(rep: Representation, rs: RootSystem) -> list:
+def _root_operators(rep: Representation, rs: RootSystem, sign: int) -> list:
+    """pi of the root vectors of sign*alpha over alpha in Delta+."""
     ops = []
     for alpha in rs.positive:
-        rd = rs.datum(alpha)
-        for a in rd.degrees():
-            for v in rd.spaces_by_degree[a]:
-                ops.append(rep.apply(v))
-    return ops
-
-
-def _negative_root_operators(rep: Representation, rs: RootSystem) -> list:
-    ops = []
-    for alpha in rs.positive:
-        rd = rs.datum(tuple(-x for x in alpha))
+        rd = rs.datum(tuple(sign * x for x in alpha))
         for a in rd.degrees():
             for v in rd.spaces_by_degree[a]:
                 ops.append(rep.apply(v))
@@ -234,22 +221,17 @@ def _negative_root_operators(rep: Representation, rs: RootSystem) -> list:
 
 
 def highest_weight_vectors(rep: Representation, rs: RootSystem):
-    """(weight, kernel basis) pairs; weights asserted dominant integral."""
-    if rs.positive is None:
-        raise ValueError("positive system not fixed; call positive_and_simple first")
+    """(weight, kernel basis) pairs; NonIntegralWeight unless every highest
+    weight is dominant integral."""
     wd = weight_decomposition(rep, rs)
-    ops = _positive_root_operators(rep, rs)
+    ops = _root_operators(rep, rs, 1)
     out = []
     for mu in wd.weights:
         ker = joint_kernel(wd.spaces[mu], ops)
         if not ker:
             continue
-        for alpha in rs.simple:
-            c = rs.cartan_number(mu, alpha)
-            if c.denominator != 1 or c < 0:
-                raise NonIntegralWeight(
-                    f"highest weight {mu} is not dominant integral at {alpha}"
-                )
+        if any(c < 0 for c in rs.pairings(mu)):
+            raise NonIntegralWeight(f"highest weight {mu} is not dominant")
         out.append((mu, ker))
     return out
 
@@ -271,9 +253,9 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
     certificate."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
-    lowering = _negative_root_operators(rep, rs)
-    raising = _positive_root_operators(rep, rs)
     hw = highest_weight_vectors(rep, rs)
+    lowering = _root_operators(rep, rs, -1)
+    raising = _root_operators(rep, rs, 1)
     omega = casimir_matrix(rep)
     components = []
     cert = SubspaceBasis()
@@ -350,41 +332,28 @@ def grading_synthesis(rep: Representation, rs: RootSystem) -> dict:
     root-lattice coset, base weight at degree (0,0).
 
     Returns {weight: Degree}; asserts the graded-module condition."""
+    return _synthesize_grading(rep, rs)[1]
+
+
+def _synthesize_grading(rep: Representation, rs: RootSystem):
+    """(weight decomposition, grading_synthesis result)."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("grading synthesis needs per-root degrees")
-    if rs.simple is None:
-        raise ValueError("positive system not fixed; call positive_and_simple first")
     wd = weight_decomposition(rep, rs)
-    simple = rs.simple
-    cosets = []  # list of [weights]
-    reps_of = []  # representative weight per coset
-    coords_cache = {}
+    # mu and nu share a root-lattice coset iff their simple-root coordinates
+    # have equal fractional parts
+    cosets = {}
     for mu in wd.weights:
-        placed = False
-        for ci, base in enumerate(reps_of):
-            diff = tuple(m - b for m, b in zip(mu, base))
-            coeffs = simple_root_coordinates(simple, diff)
-            if coeffs is not None and all(c.denominator == 1 for c in coeffs):
-                cosets[ci].append(mu)
-                placed = True
-                break
-        if not placed:
-            reps_of.append(mu)
-            cosets.append([mu])
-    node_degrees = [root_degree(rs, a) for a in simple]
+        coords = rs.coordinates(mu)
+        cosets.setdefault(tuple(c % 1 for c in coords), []).append((mu, coords))
+    node_degrees = [root_degree(rs, a) for a in rs.simple]
     grading = {}
-    for weights in cosets:
-        lam = max(weights)  # maximal under the fixed lexicographic order
-        for mu in weights:
-            diff = tuple(m - l for m, l in zip(mu, lam))
-            coeffs = simple_root_coordinates(simple, diff)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise LatticeSolveFailed(
-                    f"weight {mu} is not in the root lattice over {lam}"
-                )
+    for members in cosets.values():
+        top = max(members)[1]  # maximal under the fixed lexicographic order
+        for mu, coords in members:
             deg = (0, 0)
-            for c, nd in zip(coeffs, node_degrees):
-                if int(c) % 2:
+            for c, t, nd in zip(coords, top, node_degrees):
+                if (c - t) % 2:
                     deg = degree_add(deg, nd)
             grading[mu] = deg
     # graded-module condition: pi(g_beta^a) V_mu subseteq V_{mu+beta} with
@@ -399,14 +368,13 @@ def grading_synthesis(rep: Representation, rs: RootSystem) -> dict:
                 assert grading[target] == degree_add(a, grading[mu]), (
                     "synthesized grading violates the graded-module condition"
                 )
-    return grading
+    return wd, grading
 
 
 def apply_synthesized_grading(rep: Representation, rs: RootSystem) -> Representation:
     """The same module rewritten on the weight basis, carrying the synthesized
     grading."""
-    wd = weight_decomposition(rep, rs)
-    grading_by_weight = grading_synthesis(rep, rs)
+    wd, grading_by_weight = _synthesize_grading(rep, rs)
     basis = []
     grading = []
     for mu in wd.weights:

@@ -183,6 +183,11 @@ class RootSystem:
     positive: list | None = None  # root vectors (tuples) in Delta+
     simple: list | None = None  # simple root vectors
     rho: tuple | None = None
+    # the simple-root frame, set with `simple`: per simple root, the rational
+    # vector c_i with <mu, alpha_i^vee> = mu . c_i, and column i of the
+    # inverse simple-root matrix
+    _coroots: list | None = field(default=None, repr=False)
+    _simple_inv: list | None = field(default=None, repr=False)
     _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -214,6 +219,19 @@ class RootSystem:
 
     def cartan_number(self, beta, alpha) -> Fraction:
         return 2 * self.inner(beta, alpha) / self.inner(alpha, alpha)
+
+    def pairings(self, mu) -> tuple:
+        """(<mu, alpha_i^vee>) over the simple roots."""
+        return self._dots(mu, self._coroots)
+
+    def coordinates(self, beta) -> tuple:
+        """The n with beta = sum n_i alpha_i over the simple roots."""
+        return self._dots(beta, self._simple_inv)
+
+    def _dots(self, x, frame) -> tuple:
+        if frame is None:
+            raise ValueError("positive system not fixed; call positive_and_simple first")
+        return tuple(sum((a * b for a, b in zip(x, v) if a), Fraction(0)) for v in frame)
 
 
 def killing_dual(cartan: CartanSubalgebra, gram_inv: SMat, alpha) -> dict:
@@ -366,29 +384,30 @@ class WeylGroup:
 
 
 def weyl_group(rs: RootSystem) -> WeylGroup:
-    """Closure of the reflections s_alpha as permutations of Delta."""
+    """Closure of the simple reflections s_i as permutations of Delta; each
+    word lists the root_order indices of its simple roots."""
     order = [rd.alpha for rd in rs.roots]
     index = {a: i for i, a in enumerate(order)}
+    pairings = [rs.pairings(beta) for beta in order]
     gens = []
-    for gi, alpha in enumerate(order):
+    for i, alpha in enumerate(rs.simple):
         perm = []
-        for beta in order:
-            img = reflect(rs, alpha, beta)
-            j = index.get(img)
+        for beta, p in zip(order, pairings):
+            j = index.get(tuple(b - p[i] * a for b, a in zip(beta, alpha)))
             if j is None:
                 raise AssertionError(
                     f"reflection s_{alpha} maps {beta} outside Delta"
                 )
             perm.append(j)
-        gens.append(tuple(perm))
+        gens.append((index[alpha], tuple(perm)))
     identity = tuple(range(len(order)))
     words = {identity: []}
     frontier = [identity]
     while frontier:
         new = []
         for w in frontier:
-            for gi, gperm in enumerate(gens):
-                nw = tuple(gperm[w[i]] for i in range(len(w)))
+            for gi, gperm in gens:
+                nw = tuple(map(gperm.__getitem__, w))
                 if nw not in words:
                     words[nw] = words[w] + [gi]
                     new.append(nw)
@@ -405,10 +424,13 @@ def default_order_key(alpha) -> int:
 
 
 def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
-    """Choose Delta+, the simple roots and rho.
+    """Choose Delta+, the simple roots, rho and the simple-root frame read by
+    `RootSystem.pairings` and `RootSystem.coordinates`.
 
     `order` is None for the dual-basis lexicographic rule, or an explicit
-    rational functional vector; DegenerateOrder if some root evaluates to 0.
+    rational functional vector; DegenerateOrder if some root evaluates to 0,
+    or if the simple roots are not a base of Delta whose coroots generate
+    every coroot.
     """
     if order is None:
         keyf = default_order_key
@@ -428,36 +450,43 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
             positive.append(rd.alpha)
     positive.sort()
     posset = set(positive)
-    simple = []
-    for a in positive:
-        decomposable = any(
-            tuple(x - y for x, y in zip(a, b)) in posset for b in positive if b != a
-        )
-        if not decomposable:
-            simple.append(a)
-    simple.sort()
-    # every positive root must be a nonnegative integer combination of simple
-    for a in positive:
-        coeffs = simple_root_coordinates(simple, a)
-        assert coeffs is not None and all(
-            c.denominator == 1 and c >= 0 for c in coeffs
-        ), f"positive root {a} is not a nonnegative integer combination of simple roots"
+    # the indecomposable positive roots, sorted since positive is
+    simple = [a for a in positive if not any(
+        tuple(x - y for x, y in zip(a, b)) in posset for b in positive if b != a)]
     rank = len(rs.cartan.basis)
-    rho = tuple(
-        sum((a[i] for a in positive), Fraction(0)) / 2 for i in range(rank)
+    if len(simple) != rank:
+        raise DegenerateOrder(f"{len(simple)} simple roots for rank {rank}")
+    try:
+        inv = invert(SMat.from_dense([[GQ(x) for x in a] for a in simple]))
+    except SingularForm:
+        raise DegenerateOrder("the simple roots are linearly dependent")
+    rs = replace(
+        rs, positive=positive, simple=simple,
+        rho=tuple(sum((a[i] for a in positive), Fraction(0)) / 2 for i in range(rank)),
+        _simple_inv=[tuple(inv.rows[j].get(i, ZERO).re for j in range(rank))
+                     for i in range(rank)],
     )
-    return replace(rs, positive=positive, simple=simple, rho=rho)
-
-
-def simple_root_coordinates(simple, beta):
-    """Coordinates of beta over the simple roots (exact solve), or None when
-    beta is outside their rational span or the simple roots are dependent."""
-    sb = SubspaceBasis()
-    sb.extend({i: GQ(x) for i, x in enumerate(a) if x} for a in simple)
-    coords = sb.coords({i: GQ(x) for i, x in enumerate(beta) if x})
-    if coords is None or sb.dim < len(simple):
-        return None
-    return [coords.get(k, ZERO).re for k in range(len(simple))]
+    # Delta+ lies in the cone of the simple roots, and every coroot in the
+    # lattice of the simple coroots: beta^vee = sum n_i |alpha_i|^2/|beta|^2
+    # alpha_i^vee, so integrality against the simple coroots is integrality
+    # against every root
+    norms = [rs.inner(a, a) for a in simple]
+    for beta in positive:
+        n = rs.coordinates(beta)
+        if any(c.denominator != 1 or c < 0 for c in n):
+            raise DegenerateOrder(
+                f"positive root {beta} is not a nonnegative integer "
+                "combination of the simple roots"
+            )
+        nb = rs.inner(beta, beta)
+        if not nb or any((c * m / nb).denominator != 1 for c, m in zip(n, norms)):
+            raise DegenerateOrder(
+                f"root {beta} has no coroot in the lattice of the simple coroots"
+            )
+    units = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
+    rs._coroots = [tuple(2 * rs.inner(e, a) / m for e in units)
+                   for a, m in zip(simple, norms)]
+    return rs
 
 
 def root_degree(rs: RootSystem, beta) -> tuple:

@@ -30,7 +30,6 @@ from colorlie.roots import (
     positive_and_simple,
     root_decomposition,
     root_degree,
-    simple_root_coordinates,
     sl2_triplet,
     root_string,
     validate_cartan,
@@ -149,8 +148,7 @@ def test_criterion_6_degree_additivity(rs4222):
     def body():
         node_degrees = [root_degree(rs4222, a) for a in rs4222.simple]
         for beta in rs4222.positive:
-            coeffs = simple_root_coordinates(rs4222.simple, beta)
-            assert coeffs is not None
+            coeffs = rs4222.coordinates(beta)
             total = (0, 0)
             for c, nd in zip(coeffs, node_degrees):
                 assert c.denominator == 1 and c >= 0

@@ -125,6 +125,19 @@ def test_degenerate_order_exits_1(capsys, alg_file):
     assert "vanishes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "1", "FILE"],
+    ["generate", "--family", "so", "--p", "4", "--q", "2", "--r", "2", "--s", "2",
+     "--order", "1"],
+])
+def test_pipeline_flags_only_on_pipeline_verbs(capsys, alg_file, argv):
+    """--seed and --order belong to the verbs that build a root system."""
+    with pytest.raises(SystemExit) as e:
+        main([str(alg_file) if a == "FILE" else a for a in argv])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     # structure index k out of range
     {"dim": 2, "degrees": [[0, 0], [0, 0]],

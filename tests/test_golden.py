@@ -1,11 +1,15 @@
 """CLI outputs stay byte-identical on the golden inputs.
 
 tests/golden/ holds the exact stdout of `colorlie generate` for so(4,2,1,1)
-and so(4,2,2,2), and of the verbs below run on those files.  Any change to
+and so(4,2,2,2), of the verbs below run on those files, and of hint-free
+`roots` on the worked so(4,2,2,2) basis.  Any change to
 these bytes is a change of the CLI contract and must be made on purpose,
 by regenerating the files and saying why.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,23 @@ def test_validate_perturbed(capsys, tmp_path, where, stderr):
     assert captured.out.encode() == (
         GOLDEN / f"validate_so4222_perturbed_{where}.json").read_bytes()
     assert captured.err == stderr
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "2"])
+def test_roots_unhinted(tmp_path, hashseed):
+    """`roots` on the worked so(4,2,2,2) basis with no cartanHint goes through
+    the Cartan search at the default seed; its stdout does not depend on
+    string hashing."""
+    from colorlie.algebra import from_matrices
+    from colorlie.families import fixture_so4222
+
+    path = tmp_path / "fx4222.json"
+    path.write_text(json.dumps(
+        serialize.algebra_to_json(from_matrices(fixture_so4222().realization))))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "colorlie.cli", "roots", str(path)],
+                         capture_output=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "roots_fx4222_unhinted.json").read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from colorlie.algebra import GradedAlgebra
 from colorlie.errors import (
     DimensionMismatch,
+    NonIntegralWeight,
     NotSelfCentralizing,
     SingularForm,
     UngradedFirstFactor,
@@ -27,7 +28,7 @@ from colorlie.reps import (
     weight_decomposition,
 )
 from colorlie.roots import reflect
-from colorlie.scalars import ONE
+from colorlie.scalars import GQ, ONE
 
 
 def _eps(i, rank=5, s=1):
@@ -99,6 +100,17 @@ def test_weight_decomposition_adjoint(adj4222, rs4222):
     assert set(wd.weights) - {zero} == roots
     assert all(wd.multiplicity(a) == 1 for a in roots)
     assert sum(len(v) for v in wd.spaces.values()) == 45
+
+
+def test_non_integral_weight_raises(defn4222, rs4222):
+    """Halving the defining module gives the weight -e1/2, which no module
+    of the algebra carries."""
+    half = Representation(defn4222.algebra, defn4222.dim,
+                          [m.scaled(GQ(Fraction(1, 2))) for m in defn4222.matrices])
+    with pytest.raises(NonIntegralWeight):
+        weight_decomposition(half, rs4222)
+    with pytest.raises(NonIntegralWeight):
+        decompose(half, rs4222)
 
 
 def test_weyl_group_permutes_weights(defn4222, rs4222):

@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from colorlie.algebra import killing_form
+from colorlie.algebra import from_matrices, killing_form
 from colorlie.errors import (
     DegenerateOrder,
     HintInvalid,
     NotSelfCentralizing,
     PairingDegenerate,
 )
-from colorlie.linalg import unit_vec
+from colorlie.families import SoParams, so_cartan_hint, so_pqrs
+from colorlie.linalg import SMat, unit_vec
 from colorlie.roots import (
+    CartanSubalgebra,
+    RootDatum,
+    RootSystem,
     cartan_matrix,
     classify_dynkin,
     enhanced_dynkin,
@@ -22,7 +26,6 @@ from colorlie.roots import (
     root_decomposition,
     root_degree,
     root_string,
-    simple_root_coordinates,
     sl2_triplet,
     validate_cartan,
     weyl_group,
@@ -182,7 +185,7 @@ def test_explicit_order_and_degeneracy(g4222, rs4222):
         positive_and_simple(rs4222, order=[1, 1, 0, 0, 0])
 
 
-def test_simple_root_coordinates(rs4222):
+def test_simple_root_coordinates(g4222, rs4222):
     def recon(coeffs, simple):
         out = [Fraction(0)] * 5
         for c, a in zip(coeffs, simple):
@@ -191,19 +194,60 @@ def test_simple_root_coordinates(rs4222):
         return tuple(out)
 
     beta = _eps(0, 2, 1, 1)  # e1 + e3
-    coeffs = simple_root_coordinates(rs4222.simple, beta)
+    coeffs = rs4222.coordinates(beta)
     assert all(c.denominator == 1 and c >= 0 for c in coeffs)
     assert recon(coeffs, rs4222.simple) == beta
     # a weight in the span but off the root lattice
     half = (Fraction(1, 2),) * 5
-    coeffs = simple_root_coordinates(rs4222.simple, half)
-    assert coeffs is not None and any(c.denominator != 1 for c in coeffs)
+    coeffs = rs4222.coordinates(half)
+    assert any(c.denominator != 1 for c in coeffs)
     assert recon(coeffs, rs4222.simple) == half
-    # outside the span of two simple roots
-    two = rs4222.simple[:2]
-    assert simple_root_coordinates(two, rs4222.simple[2]) is None
-    # dependent "simple roots" give no coordinates
-    assert simple_root_coordinates([two[0], two[0]], two[0]) is None
+    # no frame before a positive system is fixed
+    bare = root_decomposition(g4222, rs4222.cartan)
+    with pytest.raises(ValueError):
+        bare.coordinates(beta)
+    with pytest.raises(ValueError):
+        bare.pairings(beta)
+
+
+@pytest.mark.parametrize("pqrs", [(4, 2, 2, 2), (4, 2, 1, 1), (2, 2, 2, 2), (3, 3, 1, 1)])
+def test_simple_root_frame(pqrs):
+    """pairings are the Cartan numbers against the simple roots, and
+    coordinates rebuild every root from them."""
+    params = SoParams(*pqrs)
+    g = from_matrices(so_pqrs(params))
+    rs = positive_and_simple(
+        root_decomposition(g, validate_cartan(g, so_cartan_hint(params))))
+    for rd in rs.roots:
+        beta = rd.alpha
+        assert rs.pairings(beta) == tuple(rs.cartan_number(beta, a) for a in rs.simple)
+        total = [Fraction(0)] * rs.rank
+        for n, a in zip(rs.coordinates(beta), rs.simple):
+            for i, x in enumerate(a):
+                total[i] += n * x
+        assert tuple(total) == beta
+
+
+def _toy_root_system(roots):
+    """A RootSystem on rank len(roots[0]) with the standard inner product."""
+    rank = len(roots[0])
+    gram = SMat.identity(rank)
+    alphas = [tuple(Fraction(x) for x in a) for a in roots]
+    alphas += [tuple(-x for x in a) for a in alphas]
+    data = [RootDatum(a, {}, {}) for a in sorted(alphas)]
+    return RootSystem(CartanSubalgebra([unit_vec(i) for i in range(rank)], gram),
+                      data, {}, gram)
+
+
+def test_positive_and_simple_certificates():
+    # BC1: the coroot of 2a is half the coroot of a
+    with pytest.raises(DegenerateOrder, match="coroot"):
+        positive_and_simple(_toy_root_system([(1,), (2,)]))
+    # one simple root for rank 2: the roots do not span t*
+    with pytest.raises(DegenerateOrder, match="rank"):
+        positive_and_simple(_toy_root_system([(1, 0)]))
+    assert positive_and_simple(_toy_root_system([(1, 0), (0, 1)])).simple == [
+        (0, 1), (1, 0)]
 
 
 def test_reflection_preserves_root_set(rs4222):
@@ -229,6 +273,17 @@ def test_weyl_group_d5(rs4222):
 
 def test_weyl_group_b3(rs4211):
     assert weyl_group(rs4211).order == 48  # 2^3 * 3!
+
+
+def test_weyl_group_from_simple_reflections(g4211, rs4211):
+    """Words use only the simple reflections, so BFS words are reduced and
+    the longest has length |Delta+| (the longest element of W)."""
+    w = weyl_group(rs4211)
+    letters = {gi for word in w.words.values() for gi in word}
+    assert letters == {w.root_order.index(a) for a in rs4211.simple}
+    assert max(len(word) for word in w.words.values()) == len(rs4211.positive) == 9
+    with pytest.raises(ValueError):
+        weyl_group(root_decomposition(g4211, rs4211.cartan))
 
 
 def test_cartan_matrix_and_type(rs4222, g4222):
