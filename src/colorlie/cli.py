@@ -16,12 +16,13 @@ from .algebra import check_axioms, from_matrices, is_basic, killing_radical
 from .errors import ColorLieError
 from .families import SoParams, so_cartan_hint, so_pqrs
 from .roots import (
+    cartan_matrix,
     enhanced_dynkin,
     find_cartan,
     is_self_centralizing,
     positive_and_simple,
     root_decomposition,
-    weyl_group,
+    weyl_order,
 )
 
 
@@ -85,9 +86,8 @@ def _cmd_roots(args) -> int:
     enhanced = None
     if is_self_centralizing(rs):
         enhanced = enhanced_dynkin(rs, g)
-    weyl = weyl_group(rs)
-    _emit_json(serialize.root_system_report(rs, enhanced=enhanced, weyl=weyl),
-               args.output)
+    _emit_json(serialize.root_system_report(
+        rs, enhanced=enhanced, weyl_order=weyl_order(cartan_matrix(rs))), args.output)
     return 0
 
 

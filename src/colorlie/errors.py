@@ -61,3 +61,7 @@ class UngradedFirstFactor(ColorLieError):
 
 class SingularForm(ColorLieError):
     pass
+
+
+class CertificateFailed(ColorLieError):
+    """An exact identity the theory guarantees did not hold on the input."""

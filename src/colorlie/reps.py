@@ -223,6 +223,10 @@ def _root_operators(rep: Representation, rs: RootSystem, sign: int) -> list:
 def highest_weight_vectors(rep: Representation, rs: RootSystem):
     """(weight, kernel basis) pairs; NonIntegralWeight unless every highest
     weight is dominant integral."""
+    return _highest_weights_and_raising(rep, rs)[0]
+
+
+def _highest_weights_and_raising(rep: Representation, rs: RootSystem):
     wd = weight_decomposition(rep, rs)
     ops = _root_operators(rep, rs, 1)
     out = []
@@ -233,7 +237,7 @@ def highest_weight_vectors(rep: Representation, rs: RootSystem):
         if any(c < 0 for c in rs.pairings(mu)):
             raise NonIntegralWeight(f"highest weight {mu} is not dominant")
         out.append((mu, ker))
-    return out
+    return out, ops
 
 
 @dataclass
@@ -253,9 +257,8 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
     certificate."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
-    hw = highest_weight_vectors(rep, rs)
+    hw, raising = _highest_weights_and_raising(rep, rs)
     lowering = _root_operators(rep, rs, -1)
-    raising = _root_operators(rep, rs, 1)
     omega = casimir_matrix(rep)
     components = []
     cert = SubspaceBasis()

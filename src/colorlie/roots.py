@@ -1,5 +1,7 @@
 """Cartan subalgebras, root-space decomposition with degree splitting,
-sl2-triplets, root strings, Weyl group, and enhanced Dynkin data."""
+sl2-triplets, root strings, Weyl group (`weyl_order` counts it by
+fundamental-weight orbits, `weyl_group` lists it), and enhanced Dynkin data.
+A failed certificate raises CertificateFailed."""
 from __future__ import annotations
 
 import random
@@ -9,6 +11,7 @@ from fractions import Fraction
 from .algebra import GradedAlgebra, killing_form
 from .errors import (
     AutoSearchFailed,
+    CertificateFailed,
     DegenerateOrder,
     HintInvalid,
     IrrationalEigenvalue,
@@ -280,22 +283,22 @@ def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:
                     raise HintInvalid(
                         "generalized centralizer in g^(0,0) exceeds the Cartan"
                     )
-    assert total == g.dim, "triangular decomposition does not fill the algebra"
+    if total != g.dim:
+        raise CertificateFailed("triangular decomposition does not fill the algebra")
     roots = []
     for alpha in sorted(by_alpha):
         spaces = by_alpha[alpha]
         for a, vecs in spaces.items():
             if len(vecs) > 1:
-                raise AssertionError(
-                    f"dim g_alpha^a > 1 for alpha={alpha}, a={a}"
-                )
+                raise CertificateFailed(f"dim g_alpha^a > 1 for alpha={alpha}, a={a}")
         h_alpha = killing_dual(t, gram_inv, alpha)
         roots.append(RootDatum(alpha, spaces, h_alpha))
     rs = RootSystem(t, roots, zero_part, gram_inv)
     # closed under negation
     for rd in roots:
         neg = tuple(-x for x in rd.alpha)
-        assert rs.is_root(neg), f"root system not symmetric at {rd.alpha}"
+        if not rs.is_root(neg):
+            raise CertificateFailed(f"root system not symmetric at {rd.alpha}")
     return rs
 
 
@@ -335,16 +338,17 @@ def sl2_triplet(g: GradedAlgebra, rs: RootSystem, alpha, degree) -> Sl2Triplet:
     scale = TWO / norm
     x = vec_scale(e, scale)
     h = vec_scale(rs.datum(alpha).h_alpha, scale)
-    # verify the three relations exactly
-    assert g.bracket(h, x) == vec_scale(x, TWO), "[h,x] != 2x"
-    assert g.bracket(h, y) == vec_scale(y, GQ(-2)), "[h,y] != -2y"
-    assert g.bracket(x, y) == h, "[x,y] != h"
+    for lhs, rhs, text in ((g.bracket(h, x), vec_scale(x, TWO), "[h,x] != 2x"),
+                           (g.bracket(h, y), vec_scale(y, GQ(-2)), "[h,y] != -2y"),
+                           (g.bracket(x, y), h, "[x,y] != h")):
+        if lhs != rhs:
+            raise CertificateFailed(text)
     return Sl2Triplet(h, x, y, alpha, degree)
 
 
 def root_string(rs: RootSystem, beta, alpha):
     """(p, q) with beta - p*alpha .. beta + q*alpha inside Delta ∪ {0};
-    asserts p - q = 2<beta,alpha>/<alpha,alpha>."""
+    certifies p - q = 2<beta,alpha>/<alpha,alpha>."""
     beta = tuple(beta)
     alpha = tuple(alpha)
     zero = tuple(Fraction(0) for _ in alpha)
@@ -360,9 +364,10 @@ def root_string(rs: RootSystem, beta, alpha):
     while member(q + 1):
         q += 1
     expected = rs.cartan_number(beta, alpha)
-    assert p - q == expected, (
-        f"root string identity fails: p={p} q={q} 2<b,a>/<a,a>={expected}"
-    )
+    if p - q != expected:
+        raise CertificateFailed(
+            f"root string identity fails: p={p} q={q} 2<b,a>/<a,a>={expected}"
+        )
     return p, q
 
 
@@ -389,17 +394,9 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
     order = [rd.alpha for rd in rs.roots]
     index = {a: i for i, a in enumerate(order)}
     pairings = [rs.pairings(beta) for beta in order]
-    gens = []
-    for i, alpha in enumerate(rs.simple):
-        perm = []
-        for beta, p in zip(order, pairings):
-            j = index.get(tuple(b - p[i] * a for b, a in zip(beta, alpha)))
-            if j is None:
-                raise AssertionError(
-                    f"reflection s_{alpha} maps {beta} outside Delta"
-                )
-            perm.append(j)
-        gens.append((index[alpha], tuple(perm)))
+    gens = [(index[alpha], tuple(
+        index[tuple(b - p[i] * a for b, a in zip(beta, alpha))]
+        for beta, p in zip(order, pairings))) for i, alpha in enumerate(rs.simple)]
     identity = tuple(range(len(order)))
     words = {identity: []}
     frontier = [identity]
@@ -413,6 +410,26 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
                     new.append(nw)
         frontier = new
     return WeylGroup(order, sorted(words), words)
+
+
+def weyl_order(cm) -> int:
+    """|W| for the Cartan matrix cm[i][k] = <alpha_i, alpha_k^vee> of a finite
+    root system: over the leading k nodes S_k, the stabilizer of omega_k in
+    W(S_k) is W(S_{k-1}) (Humphreys, Reflection Groups and Coxeter Groups,
+    1.12), so |W| is the product of the orbit sizes. Snow's walk (ACM TOMS 16,
+    1990) visits each orbit point mu once: s_i mu (mu_i > 0) is its child when
+    the fundamental-weight coordinates of s_i mu before i are nonnegative."""
+    total = 1
+    for k in range(1, len(cm) + 1):
+        stack, size = [(0,) * (k - 1) + (1,)], 0
+        while stack:
+            mu = stack.pop()
+            size += 1
+            for i, m in enumerate(mu):
+                if m > 0 and all(mu[j] - m * cm[i][j] >= 0 for j in range(i)):
+                    stack.append(tuple(x - m * c for x, c in zip(mu, cm[i])))
+        total *= size
+    return total
 
 
 def default_order_key(alpha) -> int:
@@ -430,7 +447,7 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
     `order` is None for the dual-basis lexicographic rule, or an explicit
     rational functional vector; DegenerateOrder if some root evaluates to 0,
     or if the simple roots are not a base of Delta whose coroots generate
-    every coroot.
+    every coroot; CertificateFailed unless the simple reflections permute Delta.
     """
     if order is None:
         keyf = default_order_key
@@ -486,6 +503,10 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
     units = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
     rs._coroots = [tuple(2 * rs.inner(e, a) / m for e in units)
                    for a, m in zip(simple, norms)]
+    for beta in (rd.alpha for rd in rs.roots):
+        for p, alpha in zip(rs.pairings(beta), simple):
+            if not rs.is_root(tuple(b - p * a for b, a in zip(beta, alpha))):
+                raise CertificateFailed(f"reflection s_{alpha} maps {beta} outside Delta")
     return rs
 
 
@@ -516,7 +537,8 @@ def cartan_matrix(rs: RootSystem, simple=None) -> list:
         row = []
         for b in simple:
             c = rs.cartan_number(a, b)
-            assert c.denominator == 1, "Cartan number is not an integer"
+            if c.denominator != 1:
+                raise CertificateFailed("Cartan number is not an integer")
             row.append(int(c))
         out.append(row)
     return out

@@ -145,7 +145,7 @@ def _frac_vec(v):
     return [rational_str(Fraction(x)) for x in v]
 
 
-def root_system_report(rs, enhanced=None, weyl=None) -> dict:
+def root_system_report(rs, enhanced=None, weyl_order=None) -> dict:
     doc = {
         "rank": rs.rank,
         "roots": [
@@ -172,8 +172,8 @@ def root_system_report(rs, enhanced=None, weyl=None) -> dict:
         doc["cartanMatrix"] = [list(row) for row in enhanced.cartan_matrix]
         doc["dynkinType"] = enhanced.dynkin_type
         doc["nodeDegrees"] = [list(d) for d in enhanced.node_degrees]
-    if weyl is not None:
-        doc["weylOrder"] = weyl.order
+    if weyl_order is not None:
+        doc["weylOrder"] = weyl_order
     return doc
 
 

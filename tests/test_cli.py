@@ -65,6 +65,18 @@ def test_roots_report(capsys, alg_file):
     assert doc["weylOrder"] == 1920
 
 
+def test_roots_so8222(capsys, tmp_path):
+    """D7, |W| = 2^6 * 7!, without enumerating W."""
+    path = tmp_path / "so8222.json"
+    assert main(["generate", "--family", "so", "--p", "8", "--q", "2",
+                 "--r", "2", "--s", "2", "-o", str(path)]) == 0
+    code, out, err = run(capsys, "roots", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dynkinType"] == "D7"
+    assert doc["weylOrder"] == 322560
+
+
 def test_dynkin_json_and_dot(capsys, alg_file):
     code, out, _ = run(capsys, "dynkin", str(alg_file), "--enhanced")
     assert code == 0

@@ -1,0 +1,29 @@
+"""Certificates must raise a typed ColorLieError: an `assert` vanishes under
+`python -O`, and an AssertionError is not a domain error. The modules listed
+here contain neither."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import colorlie
+
+PACKAGE = Path(colorlie.__file__).parent
+CHECKED = ["roots.py"]
+
+
+def _asserts(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno, "raise AssertionError"
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_asserts(module):
+    path = PACKAGE / module
+    found = sorted(_asserts(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, f"{module}: " + ", ".join(f"line {n}: {k}" for n, k in found)

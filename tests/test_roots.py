@@ -4,6 +4,7 @@ import pytest
 
 from colorlie.algebra import from_matrices, killing_form
 from colorlie.errors import (
+    CertificateFailed,
     DegenerateOrder,
     HintInvalid,
     NotSelfCentralizing,
@@ -29,6 +30,7 @@ from colorlie.roots import (
     sl2_triplet,
     validate_cartan,
     weyl_group,
+    weyl_order,
 )
 from colorlie.scalars import GQ, TWO
 
@@ -284,6 +286,57 @@ def test_weyl_group_from_simple_reflections(g4211, rs4211):
     assert max(len(word) for word in w.words.values()) == len(rs4211.positive) == 9
     with pytest.raises(ValueError):
         weyl_group(root_decomposition(g4211, rs4211.cartan))
+
+
+def _cartan(n, edges):
+    """The n-node Cartan matrix with cm[i][j] = <alpha_i, alpha_j^vee>, from
+    1-based edges (i, j, a, b) meaning cm[i][j] = a and cm[j][i] = b."""
+    cm = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, a, b in edges:
+        cm[i - 1][j - 1], cm[j - 1][i - 1] = a, b
+    return cm
+
+
+def _laced(n, pairs):
+    return _cartan(n, [(i, j, -1, -1) for i, j in pairs])
+
+
+_E = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
+
+
+@pytest.mark.parametrize("cm, order", [
+    (_laced(3, [(1, 2), (2, 3)]), 24),  # A3
+    (_cartan(3, [(1, 2, -1, -1), (2, 3, -2, -1)]), 48),  # B3, alpha_3 short
+    (_cartan(4, [(1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -2)]), 384),  # C4
+    (_laced(4, [(1, 2), (2, 3), (2, 4)]), 192),  # D4
+    (_cartan(2, [(1, 2, -1, -3)]), 12),  # G2, alpha_1 short
+    (_cartan(4, [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]), 1152),  # F4
+    (_laced(6, _E[:4] + _E[-1:]), 51840),  # E6
+    (_laced(7, _E[:5] + _E[-1:]), 2903040),  # E7
+    (_laced(8, _E), 696729600),  # E8
+    (_laced(3, [(1, 3)]), 12),  # A1 x A2, the A1 node in the middle
+    ([], 1),
+])
+def test_weyl_order_closed_forms(cm, order):
+    assert weyl_order(cm) == order
+
+
+def test_weyl_order_matches_enumeration(rs4222, rs4211, g4222):
+    unhinted = positive_and_simple(root_decomposition(g4222, find_cartan(g4222)))
+    for rs in (rs4222, rs4211, unhinted):
+        assert weyl_order(cartan_matrix(rs)) == weyl_group(rs).order
+
+
+def test_reflection_closure_certificate(rs4222):
+    """Without the highest root and its negative the simple roots are still a
+    base of what is left, but a simple reflection maps some root onto the
+    highest root, so the frame refuses the set."""
+    theta = max(rs4222.positive, key=lambda a: sum(rs4222.coordinates(a)))
+    roots = [rd for rd in rs4222.roots
+             if rd.alpha not in (theta, tuple(-x for x in theta))]
+    rs = RootSystem(rs4222.cartan, roots, rs4222.zero_part, rs4222.gram_inv)
+    with pytest.raises(CertificateFailed, match="outside Delta"):
+        positive_and_simple(rs)
 
 
 def test_cartan_matrix_and_type(rs4222, g4222):

@@ -5,7 +5,7 @@ import pytest
 from colorlie import serialize
 from colorlie.families import SoParams, so_cartan_hint
 from colorlie.reps import is_representation
-from colorlie.roots import enhanced_dynkin, weyl_group
+from colorlie.roots import cartan_matrix, enhanced_dynkin, weyl_order
 
 
 def test_algebra_round_trip(g4222):
@@ -47,8 +47,8 @@ def test_representation_round_trip(g4222, defn4222):
 
 def test_root_system_report(rs4222, g4222):
     ed = enhanced_dynkin(rs4222, g4222)
-    w = weyl_group(rs4222)
-    doc = serialize.root_system_report(rs4222, enhanced=ed, weyl=w)
+    doc = serialize.root_system_report(
+        rs4222, enhanced=ed, weyl_order=weyl_order(cartan_matrix(rs4222)))
     json.dumps(doc)
     assert doc["rank"] == 5
     assert len(doc["roots"]) == 40
