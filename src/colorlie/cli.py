@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ColorLieError, AssertionError) as e:
+    except ColorLieError as e:
         print(f"{args.verb}: {e}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:

@@ -6,7 +6,10 @@ tolerance anywhere.
 """
 from __future__ import annotations
 
-from .errors import IrrationalEigenvalue, SingularForm
+from itertools import count
+from math import isqrt
+
+from .errors import CertificateFailed, IrrationalEigenvalue, SingularForm
 from .scalars import GQ, MINUS_ONE, ONE, ZERO, clear_denominators
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,8 @@ def poly_lcm(p: list, q: list) -> list:
         return list(p)
     g = poly_gcd(p, q)
     quot, rem = poly_divmod(poly_mul(p, q), g)
-    assert not rem
+    if rem:
+        raise CertificateFailed("gcd does not divide the product")
     lead = quot[-1]
     return [c / lead for c in quot]
 
@@ -437,12 +441,13 @@ def poly_is_squarefree(p: list) -> bool:
 def poly_deflate(p: list, root: GQ):
     """Divide p by (x - root); remainder must vanish."""
     q, r = poly_divmod(p, [-root, ONE])
-    assert not r
+    if r:
+        raise CertificateFailed(f"{root} is not a root")
     return q
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integers: gcd, factorization, divisors (for rational-root search)
+# roots in Q(i): modular root finding with Hensel lifting
 # ---------------------------------------------------------------------------
 
 
@@ -471,89 +476,47 @@ def _gi_gcd(a, b):
     return a
 
 
-def _gi_exact_div(a, b):
-    """a / b when b | a in Z[i], else None."""
-    n = _gi_norm(b)
-    xr = a[0] * b[0] + a[1] * b[1]
-    xi = a[1] * b[0] - a[0] * b[1]
-    if xr % n or xi % n:
-        return None
-    return (xr // n, xi // n)
+def _eval_mod(coeffs: list, x: int, mod: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % mod
+    return acc
 
 
-def _int_factor(n: int) -> dict:
-    out: dict = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _gaussian_integer_roots(q: list) -> list:
+    """Candidates containing every root in Z[i] of a monic square-free q in
+    Z[i][y] (coefficient pairs, low degree first).
 
+    Walks the primes l = 1 (mod 4) upward, mapping Z[i] onto F_l by i -> s
+    with s^2 = -1, to the first l where every root of q mod l is simple.
+    Hensel-lifts s and those roots until l^k > 8 B^2 for the Cauchy bound B
+    on the roots, and reads each off as its rounded remainder modulo pi^k,
+    pi = gcd(l, i - s): a root y of q, |y| <= B, is that remainder.  Returns
+    the remainders inside the bound."""
 
-def _sqrt_minus_one_mod(p: int) -> int:
-    """x with x^2 = -1 mod p, for prime p = 1 mod 4."""
-    for a in range(2, p):
-        x = pow(a, (p - 1) // 4, p)
-        if (x * x) % p == p - 1:
-            return x
-    raise ArithmeticError(f"no sqrt(-1) mod {p}")
+    def image(mod):  # q and q' mod l^k, where i -> s
+        c = [(a + b * s) % mod for a, b in q]
+        return c, [k * x for k, x in enumerate(c)][1:]
 
-
-def gaussian_divisors(z) -> list:
-    """All divisors of z in Z[i] up to associates (z nonzero)."""
-    assert z != (0, 0)
-    primes = []  # (gaussian prime, multiplicity)
-    rest = z
-    n = _gi_norm(z)
-    for p, _ in sorted(_int_factor(n).items()):
-        if p == 2:
-            pi = (1, 1)
-            cands = [pi]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            x = _sqrt_minus_one_mod(p)
-            pi = _gi_gcd((p, 0), (x, 1))
-            cands = [pi, (pi[0], -pi[1])]
-        for pi in cands:
-            mult = 0
-            while True:
-                q = _gi_exact_div(rest, pi)
-                if q is None:
-                    break
-                rest = q
-                mult += 1
-            if mult:
-                primes.append((pi, mult))
-    divisors = [(1, 0)]
-    for pi, mult in primes:
-        new = []
-        for d in divisors:
-            cur = d
-            for _ in range(mult + 1):
-                new.append(cur)
-                cur = _gi_mul(cur, pi)
-        divisors = new
-    # dedupe associates
-    seen = set()
-    out = []
-    for d in divisors:
-        assoc = min(
-            (d[0], d[1]), (-d[1], d[0]), (-d[0], -d[1]), (d[1], -d[0])
-        )
-        if assoc not in seen:
-            seen.add(assoc)
-            out.append(d)
-    return out
+    for ell in count(5, 4):
+        if any(ell % d == 0 for d in range(3, isqrt(ell) + 1, 2)):
+            continue
+        s = next(x for x in range(ell) if x * x % ell == ell - 1)
+        c, dc = image(ell)
+        roots = [r for r in range(ell) if not _eval_mod(c, r, ell)]
+        if all(_eval_mod(dc, r, ell) for r in roots):
+            break
+    bound = 2 + isqrt(max(map(_gi_norm, q[:-1])))
+    pi, mod = _gi_gcd((ell, 0), (-s, 1)), ell
+    while mod <= 8 * bound * bound:
+        mod *= mod
+        pi = _gi_mul(pi, pi)
+        s = (s - (s * s + 1) * pow(2 * s, -1, mod)) % mod
+        c, dc = image(mod)
+        roots = [(r - _eval_mod(c, r, mod) * pow(_eval_mod(dc, r, mod), -1, mod)) % mod
+                 for r in roots]
+    ys = [_gi_divmod((r, 0), pi)[1] for r in roots]
+    return [y for y in ys if _gi_norm(y) <= bound * bound]
 
 
 def gaussian_rational_roots(p: list):
@@ -561,44 +524,35 @@ def gaussian_rational_roots(p: list):
 
     Returns (roots, residual_degree): roots is a list of (GQ, multiplicity);
     residual_degree > 0 means an irreducible factor of degree >= 2 remains.
+    The candidates come from the square-free part f of p: its root when f is
+    linear, else the roots y = c*x in Z[i] of the monic c^(n-1) f(y/c), c the
+    leading coefficient of f over Z[i].  Exact evaluation and deflation of p
+    certify every root and multiplicity.
     """
     p = poly_trim(list(p))
     if len(p) <= 1:
         return [], 0
-    roots = []
-    # factor out x^k
-    k = 0
-    while not p[0]:
-        p = p[1:]
-        k += 1
-    if k:
-        roots.append((ZERO, k))
+    k = next(j for j, c in enumerate(p) if c)  # factor out x^k
+    roots, p = [(ZERO, k)] if k else [], p[k:]
     if len(p) <= 1:
         return roots, 0
-    # clear denominators -> Z[i] coefficients
-    zi = clear_denominators(p)
-    c0, cn = zi[0], zi[-1]
-    units = [ONE, GQ(-1), GQ(0, 1), GQ(0, -1)]
-    candidates = []
-    seen = set()
-    for d0 in gaussian_divisors(c0):
-        num = GQ(d0[0], d0[1])
-        for dn in gaussian_divisors(cn):
-            base = num / GQ(dn[0], dn[1])
-            for u in units:
-                lam = base * u
-                if lam not in seen:
-                    seen.add(lam)
-                    candidates.append(lam)
+    f, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    if len(f) == 2:
+        candidates = [-f[0] / f[1]]
+    else:
+        *zi, lead = clear_denominators(f)
+        q, power = [(1, 0)], (1, 0)
+        for a in reversed(zi):
+            q.insert(0, _gi_mul(a, power))
+            power = _gi_mul(power, lead)
+        candidates = [GQ(*y) / GQ(*lead) for y in _gaussian_integer_roots(q)]
     for lam in candidates:
-        if not poly_eval(p, lam):
-            mult = 0
-            while len(p) > 1 and not poly_eval(p, lam):
-                p = poly_deflate(p, lam)
-                mult += 1
+        mult = 0
+        while len(p) > 1 and not poly_eval(p, lam):
+            p = poly_deflate(p, lam)
+            mult += 1
+        if mult:
             roots.append((lam, mult))
-            if len(p) <= 1:
-                break
     return roots, poly_deg(p) if len(p) > 1 else 0
 
 
@@ -669,7 +623,7 @@ def eigensplit(vectors: list, operators: list):
         for prefix, vecs in pieces:
             sb = SubspaceBasis()
             sb.extend(vecs)
-            vecs = sb.inserted if sb.dim == len(vecs) else list(sb.inserted)
+            vecs = sb.inserted
             if sb.dim == 0:
                 continue
             r = restriction_matrix(sb, op)
@@ -681,13 +635,7 @@ def eigensplit(vectors: list, operators: list):
                 )
             total = 0
             for lam, mult in roots:
-                shifted = r.copy()
-                for i in range(shifted.nrows):
-                    v = shifted.rows[i].get(i, ZERO) - lam
-                    if v:
-                        shifted.rows[i][i] = v
-                    else:
-                        shifted.rows[i].pop(i, None)
+                shifted = r - SMat.identity(r.nrows).scaled(lam)
                 power = shifted
                 for _ in range(mult - 1):
                     power = power @ shifted
@@ -700,7 +648,8 @@ def eigensplit(vectors: list, operators: list):
                     amb.append(w)
                 total += len(amb)
                 new_pieces.append((prefix + (lam,), amb))
-            assert total == sb.dim, "eigenspace dimensions do not add up"
+            if total != sb.dim:
+                raise CertificateFailed("eigenspace dimensions do not add up")
         pieces = new_pieces
     pieces.sort(key=lambda p: tuple((v.re, v.im) for v in p[0]))
     return pieces

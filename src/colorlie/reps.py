@@ -18,6 +18,7 @@ from .algebra import (
     killing_form,
 )
 from .errors import (
+    CertificateFailed,
     DecompositionIncomplete,
     DimensionMismatch,
     NonIntegralWeight,
@@ -205,7 +206,8 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
             raise NonIntegralWeight(f"weight {mu} is not integral")
         spaces[mu] = vecs
         total += len(vecs)
-    assert total == rep.dim, "weight spaces do not fill the module"
+    if total != rep.dim:
+        raise CertificateFailed("weight spaces do not fill the module")
     return WeightDecomposition(sorted(spaces), spaces)
 
 
@@ -269,21 +271,23 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
             # invariance under every generator
             for m in rep.matrices:
                 for w in basis:
-                    assert sb.contains(m.matvec(w)), "component is not invariant"
+                    if not sb.contains(m.matvec(w)):
+                        raise CertificateFailed("component is not invariant")
             # 1-dimensional highest-weight line inside the component
             hw_line = joint_kernel(basis, raising)
-            assert len(hw_line) == 1, (
-                f"highest-weight space of the lambda={mu} component has "
-                f"dimension {len(hw_line)}"
-            )
+            if len(hw_line) != 1:
+                raise CertificateFailed(
+                    f"highest-weight space of the lambda={mu} component has "
+                    f"dimension {len(hw_line)}"
+                )
             # Casimir acts by the formula scalar
             expected = casimir_eigenvalue_formula(rs, mu)
             target = vec_scale(v, GQ(expected))
-            assert omega.matvec(v) == target, "Casimir does not act by <l,l+2rho>"
+            if omega.matvec(v) != target:
+                raise CertificateFailed("Casimir does not act by <l,l+2rho>")
             for w in basis:
-                assert omega.matvec(w) == vec_scale(w, GQ(expected)), (
-                    "Casimir is not scalar on the component"
-                )
+                if omega.matvec(w) != vec_scale(w, GQ(expected)):
+                    raise CertificateFailed("Casimir is not scalar on the component")
             deg = None
             if rep.grading is not None:
                 degs = {rep.grading[i] for i in v}
@@ -334,7 +338,7 @@ def grading_synthesis(rep: Representation, rs: RootSystem) -> dict:
     """Degree per weight, via |V_mu| = sum n_i |alpha_i| inside each
     root-lattice coset, base weight at degree (0,0).
 
-    Returns {weight: Degree}; asserts the graded-module condition."""
+    Returns {weight: Degree}; certifies the graded-module condition."""
     return _synthesize_grading(rep, rs)[1]
 
 
@@ -367,10 +371,12 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
         for mu in wd.weights:
             target = tuple(m + x for m, x in zip(mu, rd.alpha))
             if any(op.matvec(v) for v in wd.spaces[mu]):
-                assert target in grading, "action leaves the weight set"
-                assert grading[target] == degree_add(a, grading[mu]), (
-                    "synthesized grading violates the graded-module condition"
-                )
+                if target not in grading:
+                    raise CertificateFailed("action leaves the weight set")
+                if grading[target] != degree_add(a, grading[mu]):
+                    raise CertificateFailed(
+                        "synthesized grading violates the graded-module condition"
+                    )
     return wd, grading
 
 

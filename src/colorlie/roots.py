@@ -24,6 +24,7 @@ from .linalg import (
     SMat,
     SubspaceBasis,
     eigensplit,
+    gaussian_rational_roots,
     invert,
     joint_kernel,
     minimal_polynomial,
@@ -127,16 +128,11 @@ def find_cartan(g: GradedAlgebra, hint=None, seed: int = 0, retries: int = 12) -
                 h[i] = GQ(c)
         if not h:
             continue
-        cent = _centralizer_in_even(g, [h])
-        cent = _normalize_real_spectrum(g, cent)
-        if cent is None:
-            last = HintInvalid("centralizer basis has mixed real/imaginary spectrum")
-            continue
         try:
-            return validate_cartan(g, cent)
+            return validate_cartan(
+                g, _normalize_real_spectrum(g, _centralizer_in_even(g, [h])))
         except HintInvalid as e:
             last = e
-            continue
     raise AutoSearchFailed(f"no generic element found within retry budget ({last})")
 
 
@@ -144,22 +140,23 @@ def _normalize_real_spectrum(g: GradedAlgebra, basis):
     """Rescale basis vectors so every ad spectrum is rational.
 
     A vector whose ad eigenvalues are all purely imaginary rationals is
-    rotated by i (ad(i*h) = i*ad(h)); a mixed or non-split spectrum cannot be
-    fixed by a scalar and yields None (caller retries with a new seed)."""
-    from .linalg import gaussian_rational_roots
-
+    rotated by i (ad(i*h) = i*ad(h)).  A spectrum outside Q(i) or a mixed one
+    cannot be fixed by a scalar: HintInvalid (the caller retries with a new
+    element)."""
     out = []
     for v in basis:
-        mp = minimal_polynomial(g.ad(v))
-        roots, residual = gaussian_rational_roots(mp)
+        roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(v)))
         if residual:
-            return None
+            raise HintInvalid(
+                "centralizer is not split over Q(i): ad of a basis vector has "
+                f"eigenvalues outside Q(i) (residual degree {residual})"
+            )
         if all(lam.is_rational() for lam, _ in roots):
             out.append(v)
         elif all(not lam.re for lam, _ in roots):
             out.append(vec_scale(v, GQ(0, 1)))
         else:
-            return None
+            raise HintInvalid("centralizer basis has mixed real/imaginary spectrum")
     return out
 
 
@@ -488,6 +485,7 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
     # alpha_i^vee, so integrality against the simple coroots is integrality
     # against every root
     norms = [rs.inner(a, a) for a in simple]
+    coords = {}  # integer simple-root coordinates of each positive root
     for beta in positive:
         n = rs.coordinates(beta)
         if any(c.denominator != 1 or c < 0 for c in n):
@@ -500,12 +498,20 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
             raise DegenerateOrder(
                 f"root {beta} has no coroot in the lattice of the simple coroots"
             )
+        coords[beta] = tuple(map(int, n))
     units = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
     rs._coroots = [tuple(2 * rs.inner(e, a) / m for e in units)
                    for a, m in zip(simple, norms)]
-    for beta in (rd.alpha for rd in rs.roots):
-        for p, alpha in zip(rs.pairings(beta), simple):
-            if not rs.is_root(tuple(b - p * a for b, a in zip(beta, alpha))):
+    # s_i changes only coordinate i, by -sum_j n_j <alpha_j, alpha_i^vee>;
+    # Delta = -Delta (root_decomposition certifies it) and s_i is linear, so
+    # Delta+ suffices
+    cm = [rs.pairings(a) for a in simple]
+    found = set(coords.values()) | {tuple(-c for c in n) for n in coords.values()}
+    for beta, n in coords.items():
+        for i, alpha in enumerate(simple):
+            image = list(n)
+            image[i] -= sum(c * row[i] for c, row in zip(n, cm) if c)
+            if tuple(image) not in found:
                 raise CertificateFailed(f"reflection s_{alpha} maps {beta} outside Delta")
     return rs
 

@@ -77,6 +77,22 @@ def test_roots_so8222(capsys, tmp_path):
     assert doc["weylOrder"] == 322560
 
 
+@pytest.mark.parametrize("sizes", [(4, 2, 2, 2), (4, 2, 1, 1)])
+def test_roots_hint_free_not_split(capsys, tmp_path, sizes):
+    """Without cartanHint the searched centralizers are not split over Q(i):
+    exit 1 with one line saying so."""
+    path = tmp_path / "so.json"
+    flags = [f"--{k}={v}" for k, v in zip("pqrs", sizes)]
+    assert main(["generate", "--family", "so", *flags, "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["cartanHint"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "roots", str(path))
+    assert code == 1 and not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "centralizer is not split over Q(i)" in err
+
+
 def test_dynkin_json_and_dot(capsys, alg_file):
     code, out, _ = run(capsys, "dynkin", str(alg_file), "--enhanced")
     assert code == 0

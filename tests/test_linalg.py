@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorlie.errors import IrrationalEigenvalue, SingularForm
 from colorlie.linalg import (
@@ -157,6 +159,47 @@ def test_gaussian_rational_roots():
         (Fraction(0), Fraction(-1)),
         (Fraction(0), Fraction(1)),
     ]
+
+
+# roots of large height: numerators and denominators beyond a machine word
+heights = st.one_of(st.integers(-12, 12), st.integers(-(10 ** 30), 10 ** 30))
+gaussian_rationals = st.builds(
+    lambda a, b, d: GQ(Fraction(a, d), Fraction(b, d)),
+    heights, heights, st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)))
+# factors irreducible over Q(i): x^2 - 2, x^2 + 2, x^2 - i
+IRREDUCIBLE = [[GQ(-2), ZERO, ONE], [GQ(2), ZERO, ONE], [GQ(0, -1), ZERO, ONE]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.one_of(st.just(ZERO), gaussian_rationals),
+                    st.integers(1, 3), min_size=1, max_size=5),
+    st.one_of(st.none(), st.sampled_from(IRREDUCIBLE)),
+    st.one_of(st.just(ONE), gaussian_rationals.filter(bool)),
+)
+def test_gaussian_rational_roots_of_products(expected, extra, scale):
+    p = [scale]
+    for lam, mult in expected.items():
+        for _ in range(mult):
+            p = poly_mul(p, [-lam, ONE])
+    if extra is not None:
+        p = poly_mul(p, extra)
+    roots, residual = gaussian_rational_roots(p)
+    assert dict(roots) == expected and len(roots) == len(expected)
+    assert residual == (0 if extra is None else 2)
+
+
+def test_gaussian_rational_roots_many_divisors():
+    """prod (x - k)(x - k*i) over k = 1..12: the constant term has about 1e5
+    Gaussian divisors."""
+    p = [ONE]
+    for k in range(1, 13):
+        p = poly_mul(p, poly_mul([GQ(-k), ONE], [GQ(0, -k), ONE]))
+    roots, residual = gaussian_rational_roots(p)
+    assert residual == 0
+    assert sorted(((r.re, r.im), m) for r, m in roots) == sorted(
+        [((Fraction(k), Fraction(0)), 1) for k in range(1, 13)]
+        + [((Fraction(0), Fraction(k)), 1) for k in range(1, 13)])
 
 
 def test_minimal_polynomial():
