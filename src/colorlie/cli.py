@@ -58,8 +58,8 @@ def _load_algebra(path: str):
     return g, hint
 
 
-def _root_pipeline(g, hint, seed, order):
-    t = find_cartan(g, hint=hint, seed=seed)
+def _root_pipeline(g, hint, order):
+    t = find_cartan(g, hint=hint)
     rs = root_decomposition(g, t)
     return positive_and_simple(rs, order=order)
 
@@ -82,7 +82,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_roots(args) -> int:
     g, hint = _load_algebra(args.input)
-    rs = _root_pipeline(g, hint, args.seed, _parse_order(args.order))
+    rs = _root_pipeline(g, hint, _parse_order(args.order))
     enhanced = None
     if is_self_centralizing(rs):
         enhanced = enhanced_dynkin(rs, g)
@@ -93,7 +93,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_dynkin(args) -> int:
     g, hint = _load_algebra(args.input)
-    rs = _root_pipeline(g, hint, args.seed, _parse_order(args.order))
+    rs = _root_pipeline(g, hint, _parse_order(args.order))
     ed = enhanced_dynkin(rs, g)
     if args.dot:
         _write_text(serialize.dynkin_dot(ed), args.output)
@@ -107,7 +107,7 @@ def _cmd_rep_decompose(args) -> int:
 
     g, hint = _load_algebra(args.algebra)
     rep = serialize.representation_from_json(_read_json(args.input), g)
-    rs = _root_pipeline(g, hint, args.seed, _parse_order(args.order))
+    rs = _root_pipeline(g, hint, _parse_order(args.order))
     components = decompose(rep, rs)
     _emit_json(serialize.decomposition_report(components), args.output)
     return 0
@@ -122,7 +122,7 @@ def _cmd_casimir(args) -> int:
     central = all(
         not ((omega @ m) - (m @ omega)) for m in rep.matrices
     )
-    rs = _root_pipeline(g, hint, args.seed, _parse_order(args.order))
+    rs = _root_pipeline(g, hint, _parse_order(args.order))
     components = decompose(rep, rs)
     doc = {
         "central": central,
@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline(p):
         common(p)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the Cartan auto-search")
         p.add_argument("--order", default=None,
                        help="positive-system order: comma-separated rationals")
 

@@ -4,9 +4,9 @@ fundamental-weight orbits, `weyl_group` lists it), and enhanced Dynkin data.
 A failed certificate raises CertificateFailed."""
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import GradedAlgebra, killing_form
 from .errors import (
@@ -33,7 +33,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .scalars import GQ, ONE, TWO, ZERO
+from .scalars import GQ, I, MINUS_ONE, ONE, TWO, ZERO
 
 
 @dataclass
@@ -110,54 +110,43 @@ def _centralizer_in_even(g: GradedAlgebra, basis) -> list:
     return joint_kernel([unit_vec(i) for i in even], [g.ad(h) for h in basis])
 
 
-def find_cartan(g: GradedAlgebra, hint=None, seed: int = 0, retries: int = 12) -> CartanSubalgebra:
-    """Validate a user hint, or search for a Cartan subalgebra of g^(0,0) by
-    taking the centralizer of a pseudorandom element."""
+def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
+    """Validate a user hint, or build a split torus of g^(0,0) greedily.
+
+    The candidates are the degree-(0,0) basis vectors in index order, then
+    e_i + e_j and e_i - e_j for i < j.  A candidate is kept when it commutes
+    with the vectors already kept, lies outside their span, and its ad has a
+    square-free minimal polynomial with all roots in Q, or all in iQ (then it
+    is kept times i).  The search stops once the kept vectors are their own
+    centralizer in g^(0,0); `validate_cartan` certifies the result."""
     if hint is not None:
         return validate_cartan(g, hint)
     even = g.degree_indices(ZERO_DEGREE)
     if not even:
         raise AutoSearchFailed("degree-(0,0) part is zero")
-    rng = random.Random(seed)
-    last = None
-    for _ in range(retries):
-        h = {}
-        for i in even:
-            c = rng.randint(-5, 5)
-            if c:
-                h[i] = GQ(c)
-        if not h:
+    pairs = ({i: ONE, j: s} for a, i in enumerate(even) for j in even[a + 1:]
+             for s in (ONE, MINUS_ONE))
+    kept, span = [], SubspaceBasis()
+    for h in chain(map(unit_vec, even), pairs):
+        if span.contains(h) or any(g.bracket(h, k) for k in kept):
             continue
-        try:
-            return validate_cartan(
-                g, _normalize_real_spectrum(g, _centralizer_in_even(g, [h])))
-        except HintInvalid as e:
-            last = e
-    raise AutoSearchFailed(f"no generic element found within retry budget ({last})")
-
-
-def _normalize_real_spectrum(g: GradedAlgebra, basis):
-    """Rescale basis vectors so every ad spectrum is rational.
-
-    A vector whose ad eigenvalues are all purely imaginary rationals is
-    rotated by i (ad(i*h) = i*ad(h)).  A spectrum outside Q(i) or a mixed one
-    cannot be fixed by a scalar: HintInvalid (the caller retries with a new
-    element)."""
-    out = []
-    for v in basis:
-        roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(v)))
-        if residual:
-            raise HintInvalid(
-                "centralizer is not split over Q(i): ad of a basis vector has "
-                f"eigenvalues outside Q(i) (residual degree {residual})"
-            )
-        if all(lam.is_rational() for lam, _ in roots):
-            out.append(v)
-        elif all(not lam.re for lam, _ in roots):
-            out.append(vec_scale(v, GQ(0, 1)))
-        else:
-            raise HintInvalid("centralizer basis has mixed real/imaginary spectrum")
-    return out
+        roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(h)))
+        if residual or any(m > 1 for _, m in roots):
+            continue
+        if not all(lam.is_rational() for lam, _ in roots):
+            if any(lam.re for lam, _ in roots):
+                continue
+            h = vec_scale(h, I)
+        kept.append(h)
+        span.add(h)
+        if len(_centralizer_in_even(g, kept)) == len(kept):
+            break
+    try:
+        return validate_cartan(g, kept)
+    except HintInvalid as e:
+        raise AutoSearchFailed(
+            f"the split-torus search found no Cartan subalgebra ({e}); "
+            "pass one as cartanHint") from None
 
 
 @dataclass

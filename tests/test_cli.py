@@ -3,7 +3,9 @@ import json
 import pytest
 
 from colorlie import serialize
+from colorlie.algebra import GradedAlgebra
 from colorlie.cli import main
+from colorlie.scalars import GQ, ONE
 
 
 def run(capsys, *argv):
@@ -77,20 +79,49 @@ def test_roots_so8222(capsys, tmp_path):
     assert doc["weylOrder"] == 322560
 
 
-@pytest.mark.parametrize("sizes", [(4, 2, 2, 2), (4, 2, 1, 1)])
-def test_roots_hint_free_not_split(capsys, tmp_path, sizes):
-    """Without cartanHint the searched centralizers are not split over Q(i):
-    exit 1 with one line saying so."""
+@pytest.mark.parametrize("sizes", [(4, 2, 2, 2), (4, 2, 1, 1), (6, 2, 2, 2)])
+def test_roots_hint_free_matches_hinted(capsys, tmp_path, sizes):
+    """Without cartanHint the split-torus search keeps i times the standard
+    torus vectors, so stdout is the hinted run's, byte for byte."""
     path = tmp_path / "so.json"
     flags = [f"--{k}={v}" for k, v in zip("pqrs", sizes)]
     assert main(["generate", "--family", "so", *flags, "-o", str(path)]) == 0
+    hinted = run(capsys, "roots", str(path))
+    assert hinted[0] == 0
     doc = json.loads(path.read_text())
     del doc["cartanHint"]
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "roots", str(path))
+    assert run(capsys, "roots", str(path)) == hinted
+
+
+def _write_algebra(tmp_path, g):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(serialize.algebra_to_json(g)))
+    return path
+
+
+def test_roots_hint_free_needs_pairs(capsys, tmp_path):
+    """sl2 on the basis {e + 2f, e, h + e + 2f}: no basis vector has a split
+    ad, but the sum of the first two, 2e + 2f, does."""
+    sl2 = GradedAlgebra([(0, 0)] * 3, {(0, 1): {0: GQ(2), 2: GQ(-2)},
+                                       (0, 2): {0: GQ(2), 1: GQ(-4)},
+                                       (1, 2): {0: GQ(-2), 1: GQ(-2), 2: GQ(2)}})
+    code, out, err = run(capsys, "roots", str(_write_algebra(tmp_path, sl2)))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["dynkinType"] == "A1"
+    assert doc["weylOrder"] == 2
+
+
+def test_roots_hint_free_fails_loudly(capsys, tmp_path):
+    """The 3-dim Heisenberg algebra [e0, e1] = e2 has no Cartan subalgebra
+    with nondegenerate Killing restriction: exit 1 with one line asking for a
+    cartanHint."""
+    heisenberg = GradedAlgebra([(0, 0)] * 3, {(0, 1): {2: ONE}})
+    code, out, err = run(capsys, "roots", str(_write_algebra(tmp_path, heisenberg)))
     assert code == 1 and not out
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert "centralizer is not split over Q(i)" in err
+    assert "cartanHint" in err
 
 
 def test_dynkin_json_and_dot(capsys, alg_file):
@@ -157,9 +188,11 @@ def test_degenerate_order_exits_1(capsys, alg_file):
     ["validate", "--seed", "1", "FILE"],
     ["generate", "--family", "so", "--p", "4", "--q", "2", "--r", "2", "--s", "2",
      "--order", "1"],
+    ["roots", "--seed", "0", "FILE"],
 ])
 def test_pipeline_flags_only_on_pipeline_verbs(capsys, alg_file, argv):
-    """--seed and --order belong to the verbs that build a root system."""
+    """Only --order belongs to the verbs that build a root system; no verb
+    takes --seed."""
     with pytest.raises(SystemExit) as e:
         main([str(alg_file) if a == "FILE" else a for a in argv])
     assert e.value.code == 2

@@ -103,8 +103,8 @@ def test_validate_perturbed(capsys, tmp_path, where, stderr):
 @pytest.mark.parametrize("hashseed", ["0", "1", "2"])
 def test_roots_unhinted(tmp_path, hashseed):
     """`roots` on the worked so(4,2,2,2) basis with no cartanHint goes through
-    the Cartan search at the default seed; its stdout does not depend on
-    string hashing."""
+    the greedy split-torus search, which keeps the basis vectors H1..H5; its
+    stdout does not depend on string hashing."""
     from colorlie.algebra import from_matrices
     from colorlie.families import fixture_so4222
 

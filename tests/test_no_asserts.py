@@ -1,6 +1,9 @@
 """Certificates must raise a typed ColorLieError: an `assert` vanishes under
 `python -O`, and an AssertionError is not a domain error. No module of the
-package contains either."""
+package contains either.
+
+Results must not depend on a seed: no module imports `random`, except
+`algebra.py`, whose `graded_simplicity_probe` is still seeded."""
 import ast
 from pathlib import Path
 
@@ -27,3 +30,19 @@ def test_no_asserts(module):
     path = PACKAGE / module
     found = sorted(_asserts(ast.parse(path.read_text(), filename=str(path))))
     assert not found, f"{module}: " + ", ".join(f"line {n}: {k}" for n, k in found)
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+@pytest.mark.parametrize("module", [m for m in CHECKED if m != "algebra.py"])
+def test_no_random(module):
+    path = PACKAGE / module
+    found = [name for name in _imports(ast.parse(path.read_text(), filename=str(path)))
+             if name.split(".")[0] == "random"]
+    assert not found, f"{module} imports {found}"
