@@ -114,7 +114,10 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
     """Validate a user hint, or build a split torus of g^(0,0) greedily.
 
     The candidates are the degree-(0,0) basis vectors in index order, then
-    e_i + e_j and e_i - e_j for i < j.  A candidate is kept when it commutes
+    e_i + e_j and e_i - e_j for i < j, and, only if those run out first, the
+    basis of the kept vectors' centralizer in g^(0,0), taken at that point
+    (on a re-based g^(0,0) no basis vector or pair may be left that commutes
+    with what was kept).  A candidate is kept when it commutes
     with the vectors already kept, lies outside their span, and its ad has a
     square-free minimal polynomial with all roots in Q, or all in iQ (then it
     is kept times i).  The search stops once the kept vectors are their own
@@ -127,7 +130,11 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
     pairs = ({i: ONE, j: s} for a, i in enumerate(even) for j in even[a + 1:]
              for s in (ONE, MINUS_ONE))
     kept, span = [], SubspaceBasis()
-    for h in chain(map(unit_vec, even), pairs):
+
+    def centralizer():  # a last stage, reached only when the others run out
+        yield from _centralizer_in_even(g, kept)
+
+    for h in chain(map(unit_vec, even), pairs, centralizer()):
         if span.contains(h) or any(g.bracket(h, k) for k in kept):
             continue
         roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(h)))

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorlie.algebra import (
     GradedAlgebra,
@@ -7,11 +11,13 @@ from colorlie.algebra import (
     from_matrices,
     gl_graded,
     graded_simplicity_probe,
+    homomorphism_failure,
     is_basic,
     killing_form,
     killing_radical,
 )
 from colorlie.errors import DimensionMismatch, NotClosed
+from colorlie.families import SoParams, so_pqrs
 from colorlie.grading import degree_add, sign
 from colorlie.linalg import SMat, unit_vec
 from colorlie.reps import adjoint_representation, is_representation
@@ -90,9 +96,69 @@ def test_perturbed_structure_fails_with_witness(g4222):
         # the witness names a concrete basis triple/pair with both sides
         witness = report.jacobi or report.closure
         assert isinstance(witness[0], tuple)
-        # ... and the Jacobi triple starts with the failing homomorphism pair
-        rep_witness = is_representation(adjoint_representation(bad)).witness
-        assert report.jacobi[0][:2] == rep_witness[:2]
+        # ... and the Jacobi triple is the failing homomorphism pair and its
+        # least differing column
+        i, j, lhs, rhs = is_representation(adjoint_representation(bad)).witness
+        assert report.jacobi[0] == (i, j, _least_differing_column(lhs, rhs))
+
+
+def _least_differing_column(lhs: SMat, rhs: SMat) -> int:
+    return min(c for a, b in zip(lhs.rows, rhs.rows)
+               for c in a.keys() | b.keys() if a.get(c) != b.get(c))
+
+
+def _pair_scan_witness(g):
+    """The Jacobi witness of the module check on ad: the first failing pair
+    and its least differing column, or None."""
+    failure = homomorphism_failure(g, g.ad_matrices())
+    if failure is None:
+        return None
+    i, j, lhs, rhs = failure
+    return i, j, _least_differing_column(lhs, rhs)
+
+
+@lru_cache(maxsize=None)
+def _so(params):
+    return from_matrices(so_pqrs(SoParams(*params)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_jacobi_witness_matches_pair_scan(data):
+    """One structure constant changed: by +-1 on its real part, by +-i, or set
+    in a zero slot (i, j) at a k of the degree closure allows, or of another
+    degree.  The triple scan of check_axioms reports the witness of the
+    module check on ad."""
+    g = _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)])))
+    kind = data.draw(st.sampled_from(["real", "imaginary", "new", "off-degree"]))
+    degs = g.degrees
+    structure = {key: dict(v) for key, v in g.structure.items()}
+    if kind in ("real", "imaginary"):
+        i, j = data.draw(st.sampled_from(sorted(structure)))
+        k = data.draw(st.sampled_from(sorted(structure[(i, j)])))
+        units = [ONE, MINUS_ONE] if kind == "real" else [I, -I]
+        structure[(i, j)][k] = structure[(i, j)][k] + data.draw(st.sampled_from(units))
+    else:
+        i, j = data.draw(st.sampled_from([
+            (i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+            if (i, j) not in structure]))
+        target = degree_add(degs[i], degs[j])
+        k = data.draw(st.sampled_from([
+            k for k in range(g.dim) if (degs[k] == target) == (kind == "new")]))
+        structure[(i, j)] = {k: data.draw(st.sampled_from([ONE, MINUS_ONE, I, -I]))}
+    bad = GradedAlgebra(list(degs), structure)
+    report = check_axioms(bad)
+    assert (report.closure is None) == (kind != "off-degree")
+    assert (report.jacobi[0] if report.jacobi else None) == _pair_scan_witness(bad)
+
+
+def test_jacobi_without_closure_scans_every_k():
+    """An ungraded bracket breaks the eps-alternation of the Jacobiator: here
+    the one sorted triple (0, 1, 2) holds, yet Jacobi fails at (0, 1, 1)."""
+    g = GradedAlgebra([(0, 0), (1, 1), (1, 0)], {(0, 1): {2: ONE}, (1, 2): {2: ONE}})
+    report = check_axioms(g)
+    assert report.closure is not None
+    assert report.jacobi[0] == (0, 1, 1) == _pair_scan_witness(g)
 
 
 def test_from_matrices_not_closed():

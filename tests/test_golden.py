@@ -15,7 +15,11 @@ from pathlib import Path
 import pytest
 
 from colorlie import serialize
+from colorlie.algebra import MatrixRealization, from_matrices
 from colorlie.cli import main
+from colorlie.families import SoParams, so_pqrs
+from colorlie.linalg import lincomb
+from colorlie.scalars import MINUS_ONE, ONE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,3 +122,38 @@ def test_roots_unhinted(tmp_path, hashseed):
                          capture_output=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout == (GOLDEN / "roots_fx4222_unhinted.json").read_bytes()
+
+
+# Invertible {-1, 0, 1} changes of the degree-(0,0) basis of so(4,2,1,1):
+# row a (7 symbols, row-major) writes the new a-th even basis matrix in the
+# old ones.  On each, the hint-free search runs out of basis vectors and
+# e_i +- e_j with one vector kept, while the Cartan subalgebra (its
+# centralizer in g^(0,0)) has dimension 3.
+REBASES_SO4211 = [
+    "-+-0-00" "0+0--0-" "00+-+00" "+-+-0--" "-++-0+-" "0+-+-00" "+-0-+-0",
+    "0-0++--" "++0-+0+" "++0++-0" "0+0+0+-" "0-+00+-" "0++++0-" "0++--+0",
+    "00+-0-0" "++++0+-" "-+---++" "-0+0+00" "0++++-0" "++-++-0" "-00++-+",
+]
+
+
+@pytest.mark.parametrize("rebase", REBASES_SO4211, ids=["a", "b", "c"])
+def test_roots_unhinted_rebased(capsys, tmp_path, rebase):
+    """Hint-free `roots` on a re-based so(4,2,1,1) completes the torus from
+    the kept vectors' centralizer and agrees with the hinted run."""
+    real = so_pqrs(SoParams(4, 2, 1, 1))
+    even = [i for i, d in enumerate(real.basis_degrees) if d == (0, 0)]
+    assert len(rebase) == len(even) ** 2
+    mats = list(real.matrices)
+    for row, a in enumerate(even):
+        coeffs = {b: {"+": ONE, "-": MINUS_ONE}[c]
+                  for b, c in zip(even, rebase[row * len(even):]) if c != "0"}
+        mats[a] = lincomb(real.matrices, coeffs, real.ambient_dim)
+    g = from_matrices(MatrixRealization(real.block_sizes, real.block_degrees, mats))
+    path = tmp_path / "rebased.json"
+    path.write_text(json.dumps(serialize.algebra_to_json(g)))
+    got = json.loads(stdout_of(capsys, "roots", path))
+    hinted = json.loads((GOLDEN / "roots_so4211.json").read_bytes())
+    for key in ("dynkinType", "weylOrder", "rank", "selfCentralizing", "zeroPart"):
+        assert got.get(key) == hinted.get(key), key
+    assert sorted(r["dim"] for r in got["roots"]) == sorted(
+        r["dim"] for r in hinted["roots"])
