@@ -11,7 +11,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotClosed
+from .errors import CertificateFailed, DimensionMismatch, NotClosed
 from .grading import (
     ZERO_DEGREE,
     check_degree,
@@ -186,33 +186,76 @@ class MatrixRealization:
         return next(iter(degs)) if degs else ZERO_DEGREE
 
 
-def homomorphism_failure(g: GradedAlgebra, mats: list):
-    """First basis pair (i < j) where
-    pi([e_i,e_j]) != pi(e_i)pi(e_j) - eps(|e_i|,|e_j|) pi(e_j)pi(e_i),
-    as (i, j, lhs, rhs), or None when mats is a color homomorphism.
+def homomorphism_failure(g: GradedAlgebra, mats: list, gens):
+    """First basis pair (s, j), s in gens, where
+    pi([e_s,e_j]) != pi(e_s)pi(e_j) - eps(|e_s|,|e_j|) pi(e_j)pi(e_s),
+    as (s, j, lhs, rhs), or None when every such pair holds.
 
-    Pairs i > j follow from graded antisymmetry, which GradedAlgebra enforces;
-    pairs i = j hold for any matrices, since [e_i,e_i] = 0 and eps(a,a) = 1.
-    This is the module check: for a module the identity has no symmetry in
-    the module index, so every pair costs two matrix products.  check_axioms,
-    where pi = ad and the Jacobiator is eps-alternating, reads the structure
-    constants instead (_jacobi_failure) and reports the same witness.
+    The scan takes s in the order of gens and, for each, every j != s, but
+    skips j when j is in gens before s: graded antisymmetry, which
+    GradedAlgebra enforces, makes (s, j) and (j, s) the same identity, and
+    the pair s = j holds for any matrices, since [e_s,e_s] = 0 and
+    eps(a,a) = 1.  With gens = range(g.dim) this is every pair i < j in
+    lexicographic order, and a None proves mats a color homomorphism.
+
+    When g satisfies its axioms (check_axioms), generators suffice.  The
+    homogeneous y with pi[y,x] = [pi y, pi x]_eps for every x form a graded
+    subalgebra L: by Jacobi in g and the eps-Jacobi identity of
+    eps-commutators of matrices, y, z in L give
+    pi[[y,z],x] = [pi y, pi[z,x]]_eps - eps(y,z) [pi z, pi[y,x]]_eps
+    = [[pi y, pi z]_eps, pi x]_eps = [pi[y,z], pi x]_eps.  So gens =
+    generating_set(g) proves the identity on all of g, and the witness is
+    the first failing (s, j) of that scan, not the lexicographically first
+    pair.  The shortcut cannot decide Jacobi itself, whose proof it uses;
+    check_axioms, where pi = ad and the Jacobiator is eps-alternating, reads
+    the structure constants instead (_jacobi_failure) and reports the
+    witness of the full scan.
     """
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            rhs = graded_commutator(mats[i], mats[j], sign(g.degrees[i], g.degrees[j]))
-            lhs = lincomb(mats, g.bracket_basis(i, j), rhs.nrows)
+    before = set()
+    for s in gens:
+        for j in range(g.dim):
+            if j == s or j in before:
+                continue
+            rhs = graded_commutator(mats[s], mats[j], sign(g.degrees[s], g.degrees[j]))
+            lhs = lincomb(mats, g.bracket_basis(s, j), rhs.nrows)
             if lhs != rhs:
-                return i, j, lhs, rhs
+                return s, j, lhs, rhs
+        before.add(s)
     return None
+
+
+def generating_set(g: GradedAlgebra) -> list:
+    """Basis indices S whose bracket closure is all of g, chosen greedily.
+
+    The candidates are the basis vectors of degree != (0,0) in index order,
+    then those of degree (0,0); e_i is taken when it lies outside the
+    closure of the indices taken so far.  The closure is kept incrementally:
+    a new ad(s) is applied to the vectors already spanned, and every ad(s),
+    s in S, to each new vector.  Raises CertificateFailed unless the closure
+    of S reaches dim g."""
+    ads = g.ad_matrices()
+    order = sorted(range(g.dim), key=lambda i: g.degrees[i] == ZERO_DEGREE)
+    gens, span = [], SubspaceBasis()
+    for i in order:
+        if span.contains(unit_vec(i)):
+            continue
+        gens.append(i)
+        frontier = [unit_vec(i)] + [ads[i].matvec(v) for v in span.inserted]
+        while frontier:
+            new = [v for v in frontier if span.add(v)]
+            frontier = [ads[s].matvec(v) for v in new for s in gens]
+    if span.dim != g.dim:
+        raise CertificateFailed(
+            f"generators {gens} close up to dimension {span.dim}, not {g.dim}")
+    return gens
 
 
 def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
     """First (i, j, k) with i < j, in lexicographic order, where
     [e_i,[e_j,e_k]] - eps(|e_i|,|e_j|) [e_j,[e_i,e_k]] != [[e_i,e_j],e_k],
     or None.  Column k of homomorphism_failure for pi = ad is this identity,
-    so over all k the first hit is that check's first failing pair and its
-    least differing column.
+    so over all k the first hit is the full scan's (gens = range(g.dim))
+    first failing pair and its least differing column.
 
     With sorted_triples, only k > j is visited.  Once the bracket is graded
     (closure), the Jacobiator is eps-alternating and vanishes on a repeated
@@ -260,8 +303,8 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
     on basis triples, straight from the structure constants
     (_jacobi_failure): on the sorted triples i < j < k when closure holds,
     on all k otherwise.  This is "ad is a color representation"
-    (homomorphism_failure on g.ad_matrices()) with the same witness, without
-    its n^3/2 column products.
+    (homomorphism_failure on g.ad_matrices(), gens = range(g.dim)) with the
+    same witness, without its n^3/2 column products.
     Report the first witness per axiom; the Jacobi witness (i, j, k) is the
     first failing pair and its least failing k."""
     report = AxiomReport()

@@ -14,6 +14,8 @@ from fractions import Fraction
 from .algebra import (
     GradedAlgebra,
     MatrixRealization,
+    check_axioms,
+    generating_set,
     homomorphism_failure,
     killing_form,
 )
@@ -98,23 +100,27 @@ class RepReport:
 
 
 def is_representation(rep: Representation) -> RepReport:
-    """Verify the color-homomorphism identity on all basis pairs, and the
-    graded-module condition when a grading is present."""
+    """Verify the color-homomorphism identity, and the graded-module
+    condition when a grading is present.
+
+    When check_axioms(g) passes, the identity is checked on the pairs
+    (s, e_j) for s in generating_set(g) only: the elements where it holds
+    for every x form a graded subalgebra (see homomorphism_failure), so
+    generators decide it.  generating_set takes the basis vectors of degree
+    != (0,0) in index order, then those of degree (0,0), and certifies that
+    their bracket closure is g.  The witness is then the first failing
+    (s, j) of that generator scan.  On an algebra that fails its axioms every
+    pair i < j is checked and the witness is the lexicographically first."""
     g = rep.algebra
-    witness = homomorphism_failure(g, rep.matrices)
+    gens = generating_set(g) if check_axioms(g).ok else range(g.dim)
+    witness = homomorphism_failure(g, rep.matrices, gens)
     grading_witness = None
     if rep.grading is not None:
-        for i in range(g.dim):
-            a = g.degrees[i]
-            for r, row in enumerate(rep.matrices[i].rows):
-                for c in row:
-                    if rep.grading[r] != degree_add(a, rep.grading[c]):
-                        grading_witness = (i, r, c)
-                        break
-                if grading_witness:
-                    break
-            if grading_witness:
-                break
+        grading_witness = next(
+            ((i, r, c) for i in range(g.dim)
+             for r, row in enumerate(rep.matrices[i].rows) for c in row
+             if rep.grading[r] != degree_add(g.degrees[i], rep.grading[c])),
+            None)
     return RepReport(witness is None and grading_witness is None, witness, grading_witness)
 
 

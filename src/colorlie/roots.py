@@ -115,12 +115,12 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
 
     The candidates are the degree-(0,0) basis vectors in index order, then
     e_i + e_j and e_i - e_j for i < j, and, only if those run out first, the
-    basis of the kept vectors' centralizer in g^(0,0), taken at that point
-    (on a re-based g^(0,0) no basis vector or pair may be left that commutes
-    with what was kept).  A candidate is kept when it commutes
-    with the vectors already kept, lies outside their span, and its ad has a
-    square-free minimal polynomial with all roots in Q, or all in iQ (then it
-    is kept times i).  The search stops once the kept vectors are their own
+    basis of the kept vectors' centralizer in g^(0,0), taken afresh each
+    time this stage keeps a vector (on a re-based g^(0,0) no basis vector
+    or pair may be left that commutes with what was kept).  A candidate is
+    kept when it commutes with the vectors already kept, lies outside their
+    span, and its ad has a square-free minimal polynomial with all roots in
+    Q, or all in iQ (then it is kept times i).  The search stops once the kept vectors are their own
     centralizer in g^(0,0); `validate_cartan` certifies the result."""
     if hint is not None:
         return validate_cartan(g, hint)
@@ -132,7 +132,14 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
     kept, span = [], SubspaceBasis()
 
     def centralizer():  # a last stage, reached only when the others run out
-        yield from _centralizer_in_even(g, kept)
+        while True:  # recomputed after each vector it keeps
+            n = len(kept)
+            for h in _centralizer_in_even(g, kept):
+                yield h
+                if len(kept) > n:
+                    break
+            else:
+                return
 
     for h in chain(map(unit_vec, even), pairs, centralizer()):
         if span.contains(h) or any(g.bracket(h, k) for k in kept):

@@ -9,6 +9,7 @@ from colorlie.algebra import (
     check_axioms,
     direct_sum,
     from_matrices,
+    generating_set,
     gl_graded,
     graded_simplicity_probe,
     homomorphism_failure,
@@ -16,10 +17,10 @@ from colorlie.algebra import (
     killing_form,
     killing_radical,
 )
-from colorlie.errors import DimensionMismatch, NotClosed
+from colorlie.errors import CertificateFailed, DimensionMismatch, NotClosed
 from colorlie.families import SoParams, so_pqrs
 from colorlie.grading import degree_add, sign
-from colorlie.linalg import SMat, unit_vec
+from colorlie.linalg import SMat, SubspaceBasis, unit_vec
 from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
@@ -110,7 +111,7 @@ def _least_differing_column(lhs: SMat, rhs: SMat) -> int:
 def _pair_scan_witness(g):
     """The Jacobi witness of the module check on ad: the first failing pair
     and its least differing column, or None."""
-    failure = homomorphism_failure(g, g.ad_matrices())
+    failure = homomorphism_failure(g, g.ad_matrices(), range(g.dim))
     if failure is None:
         return None
     i, j, lhs, rhs = failure
@@ -159,6 +160,57 @@ def test_jacobi_without_closure_scans_every_k():
     report = check_axioms(g)
     assert report.closure is not None
     assert report.jacobi[0] == (0, 1, 1) == _pair_scan_witness(g)
+
+
+def _subalgebra_dim(g, gens):
+    """Dimension of the subalgebra generated by the e_s, s in gens: brackets
+    of every pair of spanned vectors until the span stops growing."""
+    sb = SubspaceBasis()
+    frontier = [unit_vec(s) for s in gens]
+    while frontier:
+        new = [v for v in frontier if sb.add(v)]
+        frontier = [g.bracket(x, y) for x in new for y in sb.inserted]
+    return sb.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 8)] * 4).filter(lambda t: 2 <= sum(t) <= 8))
+def test_generating_set_generates_so_pqrs(params):
+    g = _so(params)
+    gens = generating_set(g)
+    assert len(set(gens)) == len(gens)
+    assert _subalgebra_dim(g, gens) == g.dim
+
+
+def test_generating_set_generates_direct_sum():
+    """so(2,2,2,2) + so(2,2,2,2) is not simple; the generators must reach
+    both summands."""
+    g = _so((2, 2, 2, 2))
+    s = direct_sum(g, g)
+    gens = generating_set(s)
+    assert {i < g.dim for i in gens} == {True, False}
+    assert _subalgebra_dim(s, gens) == s.dim
+
+
+def test_generating_set_sizes(g4222):
+    """Degree != (0,0) candidates come first: in index order the five Cartan
+    vectors of the worked so(4,2,2,2) basis would be taken first, giving 15."""
+    gens = generating_set(g4222)
+    assert len(gens) == 10
+    assert all(g4222.degrees[i] != (0, 0) for i in gens)
+    assert len(generating_set(_so((6, 2, 2, 2)))) == 11
+
+
+def test_generating_set_certifies_its_closure(g4222, monkeypatch):
+    """A closure that falls short of dim g raises instead of returning."""
+    class ShortBasis(SubspaceBasis):
+        @property
+        def dim(self):
+            return len(self.rows) - 1
+
+    monkeypatch.setattr("colorlie.algebra.SubspaceBasis", ShortBasis)
+    with pytest.raises(CertificateFailed):
+        generating_set(g4222)
 
 
 def test_from_matrices_not_closed():

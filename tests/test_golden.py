@@ -134,9 +134,17 @@ REBASES_SO4211 = [
     "0-0++--" "++0-+0+" "++0++-0" "0+0+0+-" "0-+00+-" "0++++0-" "0++--+0",
     "00+-0-0" "++++0+-" "-+---++" "-0+0+00" "0++++-0" "++-++-0" "-00++-+",
 ]
+# The same encoding.  Here the search keeps i(e_1 - e_2), then a vector of
+# the centralizer stage; no other basis vector of that first centralizer
+# qualifies, so the third vector comes only from the centralizer recomputed
+# after the second is kept.
+REBASE_SO4211_RECOMPUTED = (
+    "0-+00-+" "0--0+00" "+--0+-0" "00-0+0-" "---000-" "++--0-+" "0++-0-+"
+)
 
 
-@pytest.mark.parametrize("rebase", REBASES_SO4211, ids=["a", "b", "c"])
+@pytest.mark.parametrize("rebase", REBASES_SO4211 + [REBASE_SO4211_RECOMPUTED],
+                         ids=["a", "b", "c", "recomputed"])
 def test_roots_unhinted_rebased(capsys, tmp_path, rebase):
     """Hint-free `roots` on a re-based so(4,2,1,1) completes the torus from
     the kept vectors' centralizer and agrees with the hinted run."""

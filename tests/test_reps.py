@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from colorlie.algebra import GradedAlgebra
+from colorlie.algebra import GradedAlgebra, homomorphism_failure
 from colorlie.errors import (
     DimensionMismatch,
     NonIntegralWeight,
@@ -10,7 +12,7 @@ from colorlie.errors import (
     SingularForm,
     UngradedFirstFactor,
 )
-from colorlie.grading import degree_add
+from colorlie.grading import degree_add, sign
 from colorlie.linalg import SMat
 from colorlie.reps import (
     Representation,
@@ -19,6 +21,7 @@ from colorlie.reps import (
     casimir_eigenvalue_formula,
     casimir_matrix,
     decompose,
+    defining_representation,
     direct_sum_rep,
     grading_synthesis,
     highest_weight_vectors,
@@ -28,7 +31,7 @@ from colorlie.reps import (
     weight_decomposition,
 )
 from colorlie.roots import reflect
-from colorlie.scalars import GQ, ONE
+from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
 
 def _eps(i, rank=5, s=1):
@@ -72,6 +75,61 @@ def test_graded_module_condition_checked(defn4222, g4222):
     )
     report = is_representation(bad)
     assert report.grading_witness is not None
+
+
+def _pair_fails(g, mats, s, j, lhs, rhs) -> bool:
+    """Recompute pi([e_s,e_j]) and pi(e_s)pi(e_j) - eps pi(e_j)pi(e_s) column
+    by column with matvec, check the witness's lhs and rhs against them, and
+    say whether the two sides differ."""
+    eps = sign(g.degrees[s], g.degrees[j])
+    differ = False
+    for c in range(mats[s].ncols):
+        col = {c: ONE}
+        want_lhs = {}
+        for k, v in g.bracket_basis(s, j).items():
+            for r, x in mats[k].matvec(col).items():
+                want_lhs[r] = want_lhs.get(r, GQ(0)) + v * x
+        want_rhs = dict(mats[s].matvec(mats[j].matvec(col)))
+        for r, x in mats[j].matvec(mats[s].matvec(col)).items():
+            want_rhs[r] = want_rhs.get(r, GQ(0)) - eps * x
+        want_lhs = {r: x for r, x in want_lhs.items() if x}
+        want_rhs = {r: x for r, x in want_rhs.items() if x}
+        assert lhs.matvec(col) == want_lhs and rhs.matvec(col) == want_rhs
+        differ = differ or want_lhs != want_rhs
+    return differ
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_generator_scan_verdict_matches_full_scan(defn4222, tensor4222, g4211,
+                                                  fx4211, data):
+    """One matrix entry changed by +-1 or +-i, or a new +-1 entry: the
+    verdict of is_representation (generator pairs on a valid algebra) is the
+    one of the scan over every pair, and its witness really fails."""
+    rep = data.draw(st.sampled_from([
+        defn4222, tensor4222, defining_representation(g4211, fx4211.realization)]))
+    g = rep.algebra
+    k = data.draw(st.integers(0, g.dim - 1))
+    mats = list(rep.matrices)
+    m = mats[k] = mats[k].copy()
+    kind = data.draw(st.sampled_from(["real", "imaginary", "new"]))
+    if kind == "new":
+        r = data.draw(st.integers(0, rep.dim - 1))
+        c = data.draw(st.sampled_from([c for c in range(rep.dim) if c not in m.rows[r]]))
+        m.rows[r][c] = data.draw(st.sampled_from([ONE, MINUS_ONE]))
+    else:
+        r, c = data.draw(st.sampled_from(
+            [(r, c) for r, row in enumerate(m.rows) for c in sorted(row)]))
+        units = [ONE, MINUS_ONE] if kind == "real" else [I, -I]
+        m.rows[r][c] = m.rows[r][c] + data.draw(st.sampled_from(units))
+        if not m.rows[r][c]:
+            del m.rows[r][c]
+    bad = Representation(g, rep.dim, mats, grading=rep.grading)
+    report = is_representation(bad)
+    full = homomorphism_failure(g, mats, range(g.dim))
+    assert (report.witness is None) == (full is None)
+    if report.witness is not None:
+        assert _pair_fails(g, mats, *report.witness)
 
 
 def test_trivial_rep(g4222, rs4222):
