@@ -7,7 +7,6 @@ degree, so graded antisymmetry forces [e_i, e_i] = 0.
 """
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from .grading import (
 from .linalg import (
     SMat,
     SubspaceBasis,
-    closure,
     graded_commutator,
     kernel_basis,
     lincomb,
@@ -29,7 +27,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .scalars import GQ, ONE
+from .scalars import ONE
 
 
 class GradedAlgebra:
@@ -419,46 +417,6 @@ def is_basic(g: GradedAlgebra) -> bool:
     nondegenerate is reductive (Bourbaki, Lie Groups and Lie Algebras,
     Ch. I, 6.4, Prop. 5)."""
     return not killing_radical(g)
-
-
-@dataclass
-class SimplicityVerdict:
-    simple: bool
-    witness: list | None = None  # basis of a proper nonzero graded ideal
-    reason: str = ""
-
-    def __bool__(self):
-        return self.simple
-
-
-def graded_simplicity_probe(g: GradedAlgebra, trials: int = 4, seed: int = 0) -> SimplicityVerdict:
-    """Probe for proper nonzero graded ideals.
-
-    Every homogeneous basis vector, plus `trials` pseudorandom homogeneous
-    elements per degree, is closed up under ad.  A proper nonzero closure is a
-    genuine witness; the positive verdict is only probabilistic.
-    """
-    if not g.structure:
-        return SimplicityVerdict(False, None, "abelian (no nontrivial bracket)")
-    rng = random.Random(seed)
-    candidates = [unit_vec(i) for i in range(g.dim)]
-    for a in set(g.degrees):
-        idxs = g.degree_indices(a)
-        for _ in range(trials):
-            v = {}
-            for i in idxs:
-                c = rng.randint(-3, 3)
-                if c:
-                    v[i] = GQ(c)
-            if v:
-                candidates.append(v)
-    for v in candidates:
-        sb = closure(v, g.ad_matrices())
-        if 0 < sb.dim < g.dim:
-            return SimplicityVerdict(
-                False, [dict(r) for r in sb.rows], "proper nonzero graded ideal found"
-            )
-    return SimplicityVerdict(True, None, "no proper ideal found (probabilistic)")
 
 
 def direct_sum(g1: GradedAlgebra, g2: GradedAlgebra) -> GradedAlgebra:

@@ -22,6 +22,7 @@ from .roots import (
     is_self_centralizing,
     positive_and_simple,
     root_decomposition,
+    simplicity,
     weyl_order,
 )
 
@@ -88,7 +89,8 @@ def _cmd_roots(args) -> int:
     if is_self_centralizing(rs):
         enhanced = enhanced_dynkin(rs, g)
     _emit_json(serialize.root_system_report(
-        rs, enhanced=enhanced, weyl_order=weyl_order(cartan_matrix(rs))), args.output)
+        rs, enhanced=enhanced, weyl_order=weyl_order(cartan_matrix(rs)),
+        verdict=simplicity(g, rs)), args.output)
     return 0
 
 

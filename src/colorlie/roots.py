@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
-from .algebra import GradedAlgebra, killing_form
+from .algebra import GradedAlgebra, killing_form, killing_radical
 from .errors import (
     AutoSearchFailed,
     CertificateFailed,
@@ -19,10 +19,11 @@ from .errors import (
     PairingDegenerate,
     SingularForm,
 )
-from .grading import ZERO_DEGREE
+from .grading import ZERO_DEGREE, degree_add
 from .linalg import (
     SMat,
     SubspaceBasis,
+    closure,
     eigensplit,
     gaussian_rational_roots,
     invert,
@@ -553,93 +554,69 @@ def cartan_matrix(rs: RootSystem, simple=None) -> list:
     return out
 
 
+def dynkin_components(cm: list) -> list:
+    """Connected components of the Dynkin diagram of cm, nodes i != j joined
+    when cm[i][j] or cm[j][i] is nonzero: sorted node lists, in order of
+    their least node.  Node i merges the components among 0..i-1 it joins."""
+    comps = []
+    for i in range(len(cm)):
+        joined = [c for c in comps if any(cm[i][j] or cm[j][i] for j in c)]
+        comps = [c for c in comps if c not in joined] + [sorted(sum(joined, [i]))]
+    return sorted(comps)
+
+
 def classify_dynkin(cm: list) -> str:
-    """Match a Cartan matrix against the standard connected diagrams."""
+    """Name each component of a Cartan matrix after the finite-type connected
+    diagrams and join the names in sorted order, e.g. "D4+D4"; "unclassified"
+    when some component matches none."""
     n = len(cm)
-    if n == 0:
+    if not n or any(cm[i][i] != 2 for i in range(n)) or any(
+            i != j and (cm[i][j] > 0 or (cm[i][j] == 0) != (cm[j][i] == 0))
+            for i in range(n) for j in range(n)):
         return "unclassified"
-    # sanity: diagonal 2, off-diagonal nonpositive, zero symmetry
-    for i in range(n):
-        if cm[i][i] != 2:
-            return "unclassified"
-        for j in range(n):
-            if i != j and (cm[i][j] > 0 or (cm[i][j] == 0) != (cm[j][i] == 0)):
-                return "unclassified"
-    edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = cm[i][j] * cm[j][i]
-            if m:
-                edges[(i, j)] = m
-    # connectivity
-    seen = {0}
-    frontier = [0]
-    adj = {i: [] for i in range(n)}
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    while frontier:
-        new = []
-        for i in frontier:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    new.append(j)
-        frontier = new
-    if len(seen) != n:
-        return "unclassified"
-    if len(edges) != n - 1:
+    names = [_classify_connected([[cm[i][j] for j in comp] for i in comp])
+             for comp in dynkin_components(cm)]
+    return "unclassified" if "unclassified" in names else "+".join(sorted(names))
+
+
+def _classify_connected(cm: list) -> str:
+    n = len(cm)
+    adj = [[j for j in range(n) if j != i and cm[i][j]] for i in range(n)]
+    bonds = {(i, j): cm[i][j] * cm[j][i] for i in range(n) for j in adj[i] if i < j}
+    branch = [i for i in range(n) if len(adj[i]) > 2]
+    multiple = [(e, m) for e, m in bonds.items() if m > 1]
+    if len(bonds) != n - 1:
         return "unclassified"  # diagrams are trees
     if n == 1:
         return "A1"
-    mults = sorted(edges.values())
-    degseq = sorted(len(adj[i]) for i in range(n))
-    if mults[-1] == 1:
-        # simply laced: A, D, E
-        branch = [i for i in range(n) if len(adj[i]) > 2]
+    if not multiple:  # simply laced: A, D, E
         if not branch:
             return f"A{n}"
         if len(branch) > 1 or len(adj[branch[0]]) != 3:
             return "unclassified"
-        arms = sorted(_arm_lengths(adj, branch[0]))
-        if n >= 4 and arms == [1, 1, n - 3]:
-            return f"D{n}"
-        if arms == [1, 2, 2] and n == 6:
-            return "E6"
-        if arms == [1, 2, 3] and n == 7:
-            return "E7"
-        if arms == [1, 2, 4] and n == 8:
-            return "E8"
+        arms = tuple(sorted(_arm_lengths(adj, branch[0])))
+        return {(1, 1, n - 3): f"D{n}", (1, 2, 2): "E6", (1, 2, 3): "E7",
+                (1, 2, 4): "E8"}.get(arms, "unclassified")
+    if branch or len(multiple) > 1:
         return "unclassified"
-    if mults[-1] == 3:
-        return "G2" if n == 2 else "unclassified"
-    if mults.count(2) != 1 or any(m > 2 for m in mults[:-1]):
-        return "unclassified"
-    if any(len(adj[i]) > 2 for i in range(n)):
-        return "unclassified"
-    # path with a single double edge: B, C or F4
-    (di, dj) = next(k for k, m in edges.items() if m == 2)
-    ends = [i for i in range(n) if len(adj[i]) == 1]
+    [((i, j), m)] = multiple
     if n == 2:
-        return "B2"
-    double_at_end = len(adj[di]) == 1 or len(adj[dj]) == 1
-    if not double_at_end:
+        return {2: "B2", 3: "G2"}.get(m, "unclassified")
+    if m != 2:
+        return "unclassified"
+    if len(adj[i]) == 2 and len(adj[j]) == 2:  # a double bond inside a path
         return "F4" if n == 4 else "unclassified"
-    # short root at the end -> B; long root at the end -> C
-    end = di if len(adj[di]) == 1 else dj
-    other = dj if end == di else di
-    # cm[end][other] = -2 means the end root is short (B); -1 means long (C)
+    end, other = (i, j) if len(adj[i]) == 1 else (j, i)
+    # cm[other][end] = -2 means the end root is short (B); -1 means long (C)
     return f"B{n}" if cm[other][end] == -2 else f"C{n}"
 
 
 def _arm_lengths(adj, center):
     arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
+    for cur in adj[center]:
+        prev, length = center, 1
         while len(adj[cur]) == 2:
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev, cur = cur, nxt
+            prev, cur = cur, next(x for x in adj[cur] if x != prev)
             length += 1
         arms.append(length)
     return arms
@@ -664,3 +641,52 @@ def enhanced_dynkin(rs: RootSystem, g: GradedAlgebra) -> EnhancedDynkin:
         dynkin_type=classify_dynkin(cm),
         node_degrees=[root_degree(rs, a) for a in nodes],
     )
+
+
+@dataclass
+class SimplicityVerdict:
+    simple: bool | None  # None at rank 0: no root to decide from
+    dynkin_type: str  # classify_dynkin of the simple-root Cartan matrix
+    witness: list | None  # basis of a proper nonzero graded ideal
+    reason: str
+
+
+def simplicity(g: GradedAlgebra, rs: RootSystem) -> SimplicityVerdict:
+    """Decide graded simplicity exactly from a root system with a fixed
+    positive system.  A nonzero Killing radical is a proper graded ideal (K
+    is nondegenerate on the Cartan).  Else g is simple iff the Dynkin diagram
+    is connected and the brackets [g_alpha^c, g_-alpha^(b+c)] span each zero
+    part g_0^b: an ideal meeting a (1-dimensional) g_alpha^a contains
+    [x, y] = K(x, y) h_alpha != 0, so every g_beta with <beta, alpha^vee> != 0,
+    and along a connected diagram all root spaces and the Cartan; one meeting
+    none commutes with the root vectors, so is central once their brackets
+    span g_0, and the center lies in rad K = 0.  Failing that, the ad-closure
+    of a root vector of the first component is a proper ideal.  Witnesses are
+    certified nonzero and proper."""
+    if rs.simple is None:
+        raise ValueError("positive system not fixed; call positive_and_simple first")
+    cm = cartan_matrix(rs)
+    dynkin_type, components = classify_dynkin(cm), dynkin_components(cm)
+    if not components:
+        return SimplicityVerdict(None, dynkin_type, None, "rank 0: no root to decide from")
+    witness, reason = killing_radical(g), "the Killing radical is a proper ideal"
+    if not witness:
+        spans = {b: SubspaceBasis() for b in rs.zero_part}
+        for alpha in rs.positive:
+            down = rs.datum(tuple(-x for x in alpha)).spaces_by_degree
+            for c, (x,) in rs.datum(alpha).spaces_by_degree.items():
+                for d, (y,) in down.items():
+                    if degree_add(c, d) in spans:
+                        spans[degree_add(c, d)].add(g.bracket(x, y))
+        short = sorted(b for b, sb in spans.items() if sb.dim < len(rs.zero_part[b]))
+        if len(components) == 1 and not short:
+            return SimplicityVerdict(True, dynkin_type, None,
+                                     "connected Dynkin diagram; root brackets span g_0")
+        reason = (f"the Dynkin diagram has {len(components)} components"
+                  if len(components) > 1 else f"root brackets do not span g_0^b, b in {short}")
+        first = rs.datum(rs.simple[components[0][0]])
+        ideal = closure(first.spaces_by_degree[first.degrees()[0]][0], g.ad_matrices())
+        witness = [dict(r) for r in ideal.rows]
+    if not 0 < len(witness) < g.dim:
+        raise CertificateFailed(f"the witness ideal has dimension {len(witness)} of {g.dim}")
+    return SimplicityVerdict(False, dynkin_type, witness, reason)

@@ -145,7 +145,9 @@ def _frac_vec(v):
     return [rational_str(Fraction(x)) for x in v]
 
 
-def root_system_report(rs, enhanced=None, weyl_order=None) -> dict:
+def root_system_report(rs, enhanced=None, weyl_order=None, verdict=None) -> dict:
+    """`simple` lists the simple roots in the node order of `enhanced` when
+    it is given, the order of its `cartanMatrix` and `nodeDegrees`."""
     doc = {
         "rank": rs.rank,
         "roots": [
@@ -166,7 +168,8 @@ def root_system_report(rs, enhanced=None, weyl_order=None) -> dict:
     }
     if rs.positive is not None:
         doc["positive"] = [_frac_vec(a) for a in rs.positive]
-        doc["simple"] = [_frac_vec(a) for a in rs.simple]
+        nodes = rs.simple if enhanced is None else enhanced.simple
+        doc["simple"] = [_frac_vec(a) for a in nodes]
         doc["rho"] = _frac_vec(rs.rho)
     if enhanced is not None:
         doc["cartanMatrix"] = [list(row) for row in enhanced.cartan_matrix]
@@ -174,6 +177,8 @@ def root_system_report(rs, enhanced=None, weyl_order=None) -> dict:
         doc["nodeDegrees"] = [list(d) for d in enhanced.node_degrees]
     if weyl_order is not None:
         doc["weylOrder"] = weyl_order
+    if verdict is not None:
+        doc["isSimple"] = verdict.simple
     return doc
 
 

@@ -11,7 +11,6 @@ from colorlie.algebra import (
     check_axioms,
     direct_sum,
     from_matrices,
-    graded_simplicity_probe,
     is_basic,
     killing_radical,
 )
@@ -32,6 +31,7 @@ from colorlie.roots import (
     root_degree,
     sl2_triplet,
     root_string,
+    simplicity,
     validate_cartan,
     weyl_group,
 )
@@ -248,7 +248,7 @@ def test_criterion_11_enhanced_dynkin_contrast(rs4222, g4222, rs4420, g4420):
             "differ", body)
 
 
-def test_criterion_12_negative_controls(g4222):
+def test_criterion_12_negative_controls(g4222, fx4222):
     def body():
         # perturbed structure constants fail check_axioms with a witness
         structure = {k: dict(v) for k, v in g4222.structure.items()}
@@ -260,10 +260,13 @@ def test_criterion_12_negative_controls(g4222):
         assert report.closure is not None or report.jacobi is not None
         # a direct sum of two simple fixtures is flagged not simple with a
         # witness ideal
-        verdict = graded_simplicity_probe(direct_sum(g4222, g4222),
-                                          trials=1, seed=0)
-        assert not verdict.simple
-        assert verdict.witness and 0 < len(verdict.witness) < 2 * g4222.dim
+        n = g4222.dim
+        s = direct_sum(g4222, g4222)
+        hint = [unit_vec(i + off) for off in (0, n) for i in fx4222.cartan_indices]
+        rs = positive_and_simple(root_decomposition(s, validate_cartan(s, hint)))
+        verdict = simplicity(s, rs)
+        assert verdict.simple is False and verdict.dynkin_type == "D5+D5"
+        assert verdict.witness and 0 < len(verdict.witness) < 2 * n
         # a degenerate-Killing algebra reports basic = false
         heis = GradedAlgebra([(0, 0)] * 3, {(0, 1): {2: ONE}})
         assert len(killing_radical(heis)) == 3

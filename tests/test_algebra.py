@@ -11,7 +11,6 @@ from colorlie.algebra import (
     from_matrices,
     generating_set,
     gl_graded,
-    graded_simplicity_probe,
     homomorphism_failure,
     is_basic,
     killing_form,
@@ -256,19 +255,6 @@ def test_killing_radical_and_basic(g4222):
     h = heisenberg()
     assert len(killing_radical(h)) == 3
     assert not is_basic(h)
-
-
-def test_simplicity_probe(g4222):
-    verdict = graded_simplicity_probe(g4222, trials=2, seed=0)
-    assert verdict.simple
-    # a direct sum is flagged with a witness ideal
-    s = direct_sum(g4222, g4222)
-    verdict = graded_simplicity_probe(s, trials=1, seed=0)
-    assert not verdict.simple
-    assert verdict.witness and 0 < len(verdict.witness) < s.dim
-    # abelian algebras are not simple by convention
-    ab = GradedAlgebra([(0, 0)], {})
-    assert not graded_simplicity_probe(ab).simple
 
 
 def test_grading_closure(g4222):

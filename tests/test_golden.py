@@ -1,8 +1,9 @@
 """CLI outputs stay byte-identical on the golden inputs.
 
 tests/golden/ holds the exact stdout of `colorlie generate` for so(4,2,1,1)
-and so(4,2,2,2), of the verbs below run on those files, and of hint-free
-`roots` on the worked so(4,2,2,2) basis.  Any change to
+and so(4,2,2,2), of the verbs below run on those files, of hint-free
+`roots` on the worked so(4,2,2,2) basis, and of `roots` on
+so(2,2,2,2) + so(2,2,2,2).  Any change to
 these bytes is a change of the CLI contract and must be made on purpose,
 by regenerating the files and saying why.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from colorlie import serialize
-from colorlie.algebra import MatrixRealization, from_matrices
+from colorlie.algebra import MatrixRealization, direct_sum, from_matrices
 from colorlie.cli import main
-from colorlie.families import SoParams, so_pqrs
+from colorlie.families import SoParams, so_cartan_hint, so_pqrs
 from colorlie.linalg import lincomb
 from colorlie.scalars import MINUS_ONE, ONE
 
@@ -80,6 +81,22 @@ def test_module_verb(capsys, defining_file, verb):
                     "--algebra", GOLDEN / "generate_so4222.json")
     golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining.json"
     assert out == golden.read_bytes()
+
+
+def test_roots_direct_sum(capsys, tmp_path):
+    """`roots` on so(2,2,2,2) + so(2,2,2,2), with the two standard tori as
+    cartanHint, reports a D4+D4 diagram and that the sum is not simple."""
+    params = SoParams(2, 2, 2, 2)
+    g = from_matrices(so_pqrs(params))
+    hint = so_cartan_hint(params)
+    hint += [{k + g.dim: v for k, v in h.items()} for h in hint]
+    path = tmp_path / "so2222x2.json"
+    path.write_text(json.dumps(serialize.algebra_to_json(direct_sum(g, g), cartan_hint=hint)))
+    out = stdout_of(capsys, "roots", path)
+    assert out == (GOLDEN / "roots_so2222x2.json").read_bytes()
+    report = json.loads(out)
+    assert (report["isSimple"], report["dynkinType"], report["weylOrder"]) == (
+        False, "D4+D4", 36864)
 
 
 @pytest.mark.parametrize("where, stderr", [

@@ -2,8 +2,7 @@
 `python -O`, and an AssertionError is not a domain error. No module of the
 package contains either.
 
-Results must not depend on a seed: no module imports `random`, except
-`algebra.py`, whose `graded_simplicity_probe` is still seeded."""
+Results must not depend on a seed: no module imports `random`."""
 import ast
 from pathlib import Path
 
@@ -40,7 +39,7 @@ def _imports(tree):
             yield node.module
 
 
-@pytest.mark.parametrize("module", [m for m in CHECKED if m != "algebra.py"])
+@pytest.mark.parametrize("module", CHECKED)
 def test_no_random(module):
     path = PACKAGE / module
     found = [name for name in _imports(ast.parse(path.read_text(), filename=str(path)))

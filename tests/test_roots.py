@@ -2,22 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from colorlie.algebra import from_matrices, killing_form
+from colorlie.algebra import GradedAlgebra, direct_sum, from_matrices, killing_form
 from colorlie.errors import (
     CertificateFailed,
+    ColorLieError,
     DegenerateOrder,
     HintInvalid,
     NotSelfCentralizing,
     PairingDegenerate,
 )
 from colorlie.families import SoParams, so_cartan_hint, so_pqrs
-from colorlie.linalg import SMat, unit_vec
+from colorlie.linalg import SMat, SubspaceBasis, unit_vec
 from colorlie.roots import (
     CartanSubalgebra,
     RootDatum,
     RootSystem,
     cartan_matrix,
     classify_dynkin,
+    dynkin_components,
     enhanced_dynkin,
     find_cartan,
     is_self_centralizing,
@@ -27,12 +29,13 @@ from colorlie.roots import (
     root_decomposition,
     root_degree,
     root_string,
+    simplicity,
     sl2_triplet,
     validate_cartan,
     weyl_group,
     weyl_order,
 )
-from colorlie.scalars import GQ, TWO
+from colorlie.scalars import GQ, ONE, TWO
 
 
 def _eps(i, j=None, si=1, sj=1, rank=5):
@@ -376,8 +379,24 @@ def test_classify_dynkin_tables():
     ]
     assert classify_dynkin(e6) == "E6"
     assert classify_dynkin([[2]]) == "A1"
-    disconnected = [[2, 0], [0, 2]]
-    assert classify_dynkin(disconnected) == "unclassified"
+    assert classify_dynkin([[2, 0], [0, 2]]) == "A1+A1"
+    # block-diagonal B3 and A3 with the nodes interleaved: one name per
+    # component, joined in sorted order
+    b3_a3 = [[2, 0, -1, 0, 0, 0],
+             [0, 2, 0, -1, 0, 0],
+             [-1, 0, 2, 0, -2, 0],
+             [0, -1, 0, 2, 0, -1],
+             [0, 0, -1, 0, 2, 0],
+             [0, 0, 0, -1, 0, 2]]
+    assert dynkin_components(b3_a3) == [[0, 2, 4], [1, 3, 5]]
+    assert classify_dynkin(b3_a3) == "A3+B3"
+    # a cycle is no finite-type diagram, alone or beside one
+    cycle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert classify_dynkin(cycle) == "unclassified"
+    assert classify_dynkin([[2, 0, 0, 0], [0, 2, -1, -1], [0, -1, 2, -1],
+                            [0, -1, -1, 2]]) == "unclassified"
+    # a quadruple bond (product 4, affine type) beside a double one
+    assert classify_dynkin([[2, -2, 0], [-2, 2, -2], [0, -1, 2]]) == "unclassified"
 
 
 def test_root_degree_unique(rs4222, rs4211):
@@ -385,3 +404,89 @@ def test_root_degree_unique(rs4222, rs4211):
     assert root_degree(rs4222, a) == (0, 0)
     with pytest.raises(NotSelfCentralizing):
         root_degree(rs4211, _eps(0, rank=3))
+
+
+def _root_system(summands, extra=None):
+    """The direct sum of so(p,q,r,s) over summands, then of extra if given,
+    with its root system from the concatenated standard tori."""
+    g, hint = None, []
+    for pqrs in summands:
+        params = SoParams(*pqrs)
+        part = from_matrices(so_pqrs(params))
+        off = g.dim if g else 0
+        hint += [{k + off: v for k, v in h.items()} for h in so_cartan_hint(params)]
+        g = direct_sum(g, part) if g else part
+    if extra is not None:
+        g = direct_sum(g, extra)
+    rs = positive_and_simple(root_decomposition(g, validate_cartan(g, hint)))
+    return g, rs
+
+
+def _assert_proper_ideal(g, witness):
+    span = SubspaceBasis()
+    span.extend(witness)
+    assert 0 < span.dim == len(witness) < g.dim
+    for w in witness:
+        for i in range(g.dim):
+            assert span.contains(g.ad(i).matvec(w))
+
+
+SIMPLICITY_CASES = [  # so(p,q,r,s) summands, simple, Dynkin type
+    ([(4, 2, 2, 2)], True, "D5"),
+    ([(6, 2, 2, 2)], True, "D6"),
+    ([(4, 4, 2, 0)], True, "D5"),
+    ([(2, 2, 2, 2)], True, "D4"),
+    # non-self-centralizing Cartans; so(3,1,1,1) has rank 1 and a 6-dim zero
+    # part over three degrees
+    ([(4, 2, 1, 1)], True, "B3"),
+    ([(2, 2, 1, 1)], True, "B2"),
+    ([(3, 1, 1, 1)], True, "A1"),
+    ([(4, 2, 2, 2), (4, 2, 2, 2)], False, "D5+D5"),
+    ([(2, 2, 2, 2), (2, 2, 2, 2)], False, "D4+D4"),
+    ([(4, 2, 1, 1), (2, 2, 1, 1)], False, "B2+B3"),
+]
+
+
+@pytest.mark.parametrize("summands, simple, dynkin_type", SIMPLICITY_CASES, ids=[
+    "+".join("so" + "".join(map(str, p)) for p in case[0]) for case in SIMPLICITY_CASES])
+def test_simplicity(summands, simple, dynkin_type):
+    g, rs = _root_system(summands)
+    verdict = simplicity(g, rs)
+    assert verdict.simple is simple
+    assert verdict.dynkin_type == dynkin_type
+    if simple:
+        assert verdict.witness is None
+    else:
+        _assert_proper_ideal(g, verdict.witness)
+
+
+def test_simplicity_killing_radical():
+    """so(4,2,2,2) plus a central line of degree (0,1): the root data are
+    those of so(4,2,2,2), and the witness is rad K, that line."""
+    g, rs = _root_system([(4, 2, 2, 2)], extra=GradedAlgebra([(0, 1)], {}))
+    verdict = simplicity(g, rs)
+    assert verdict.simple is False and verdict.dynkin_type == "D5"
+    assert verdict.witness == [{45: ONE}]
+    _assert_proper_ideal(g, verdict.witness)
+
+
+def test_simplicity_zero_part_not_spanned():
+    """so(4,2,2,2) + so(1,1,1,0): K is nondegenerate and the diagram is D5,
+    but so(1,1,1,0) (no degree-(0,0) part) is a zero part that no root
+    bracket reaches; the witness is the so(4,2,2,2) summand."""
+    g, rs = _root_system([(4, 2, 2, 2)], extra=from_matrices(so_pqrs(SoParams(1, 1, 1, 0))))
+    verdict = simplicity(g, rs)
+    assert verdict.simple is False and verdict.dynkin_type == "D5"
+    assert "do not span" in verdict.reason
+    _assert_proper_ideal(g, verdict.witness)
+    assert all(max(w) < 45 for w in verdict.witness) and len(verdict.witness) == 45
+
+
+def test_simplicity_needs_roots():
+    # an abelian algebra has no Cartan with nondegenerate Killing form
+    with pytest.raises(ColorLieError):
+        find_cartan(GradedAlgebra([(0, 0)], {}))
+    # so(1,1,1,0) has g^(0,0) = 0: rank 0, nothing to decide from
+    g, rs = _root_system([(1, 1, 1, 0)])
+    assert rs.rank == 0
+    assert simplicity(g, rs).simple is None
