@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from . import serialize
 from .algebra import check_axioms, from_matrices, killing_radical
-from .errors import ColorLieError
+from .errors import ColorLieError, NotARepresentation
 from .families import SoParams, so_cartan_hint, so_pqrs
+from .linalg import graded_commutator
 from .roots import (
     cartan_matrix,
     enhanced_dynkin,
@@ -25,13 +26,17 @@ from .roots import (
     simplicity,
     weyl_order,
 )
+from .scalars import ONE
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _write_text(text: str, path: str) -> None:
@@ -63,6 +68,20 @@ def _root_pipeline(g, hint, order):
     t = find_cartan(g, hint=hint)
     rs = root_decomposition(g, t)
     return positive_and_simple(rs, order=order)
+
+
+def _load_module(args):
+    """The algebra's Cartan hint and the representation named by args,
+    certified by is_representation: decompose and the Casimir theorems hold
+    only for a color representation."""
+    from .reps import is_representation
+
+    g, hint = _load_algebra(args.algebra)
+    rep = serialize.representation_from_json(_read_json(args.input), g)
+    report = is_representation(rep)
+    if not report.ok:
+        raise NotARepresentation("; ".join(x for x in report.lines() if "FAIL" in x))
+    return hint, rep
 
 
 def _cmd_validate(args) -> int:
@@ -108,9 +127,8 @@ def _cmd_dynkin(args) -> int:
 def _cmd_rep_decompose(args) -> int:
     from .reps import decompose
 
-    g, hint = _load_algebra(args.algebra)
-    rep = serialize.representation_from_json(_read_json(args.input), g)
-    rs = _root_pipeline(g, hint, _parse_order(args.order))
+    hint, rep = _load_module(args)
+    rs = _root_pipeline(rep.algebra, hint, _parse_order(args.order))
     components = decompose(rep, rs)
     _emit_json(serialize.decomposition_report(components), args.output)
     return 0
@@ -119,13 +137,10 @@ def _cmd_rep_decompose(args) -> int:
 def _cmd_casimir(args) -> int:
     from .reps import casimir_matrix, decompose
 
-    g, hint = _load_algebra(args.algebra)
-    rep = serialize.representation_from_json(_read_json(args.input), g)
+    hint, rep = _load_module(args)
     omega = casimir_matrix(rep)
-    central = all(
-        not ((omega @ m) - (m @ omega)) for m in rep.matrices
-    )
-    rs = _root_pipeline(g, hint, _parse_order(args.order))
+    central = not any(graded_commutator(omega, m, ONE) for m in rep.matrices)
+    rs = _root_pipeline(rep.algebra, hint, _parse_order(args.order))
     components = decompose(rep, rs)
     doc = {
         "central": central,

@@ -13,6 +13,11 @@ class DimensionMismatch(ColorLieError):
     pass
 
 
+class NotARepresentation(ColorLieError):
+    """Module matrices that fail the color-homomorphism or graded-module
+    check of is_representation."""
+
+
 class NotClosed(ColorLieError):
     """A commutator of basis matrices leaves their span."""
 

@@ -10,27 +10,12 @@ from itertools import count
 from math import isqrt
 
 from .errors import CertificateFailed, IrrationalEigenvalue, SingularForm
-from .scalars import GQ, MINUS_ONE, ONE, ZERO, clear_denominators
+from .scalars import GQ, MINUS_ONE, ONE, ZERO, addmul, clear_denominators
+from .scalars import axpy as vec_axpy  # reads GQ triples, so lives in scalars
 
 # ---------------------------------------------------------------------------
 # sparse vectors
 # ---------------------------------------------------------------------------
-
-
-def vec_axpy(y: dict, a: GQ, x: dict) -> None:
-    """y += a*x in place (a may be zero: no-op)."""
-    if not a:
-        return
-    for j, xj in x.items():
-        v = y.get(j)
-        if v is None:
-            y[j] = a * xj
-        else:
-            v = v + a * xj
-            if v:
-                y[j] = v
-            else:
-                del y[j]
 
 
 def vec_scale(x: dict, a: GQ) -> dict:
@@ -126,13 +111,9 @@ class SMat:
         return y
 
     def __matmul__(self, other: "SMat") -> "SMat":
-        out = [dict() for _ in range(self.nrows)]
-        brows = other.rows
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for k, a in row.items():
-                vec_axpy(acc, a, brows[k])
-        return SMat(self.nrows, other.ncols, out)
+        out = SMat(self.nrows, other.ncols)
+        _add_product(out, ONE, self, other)
+        return out
 
     def transpose(self) -> "SMat":
         return SMat(self.ncols, self.nrows, [dict(c) for c in self.cols])
@@ -175,11 +156,18 @@ def lincomb(mats: list, x: dict, n: int) -> SMat:
     return SMat(n, n, rows)
 
 
+def _add_product(out: SMat, s: GQ, a: SMat, b: SMat) -> None:
+    """out += s * (a @ b), one row accumulator per row of out."""
+    brows = b.rows
+    for acc, row in zip(out.rows, a.rows):
+        addmul(acc, s, row, brows)
+
+
 def graded_commutator(x: SMat, y: SMat, eps: GQ) -> SMat:
-    """x @ y - eps * (y @ x), subtracted row by row into x @ y."""
-    out = x @ y
-    for row, other in zip(out.rows, (y @ x).rows):
-        vec_axpy(row, -eps, other)
+    """x @ y - eps * (y @ x), both products accumulated into one result."""
+    out = SMat(x.nrows, y.ncols)
+    _add_product(out, ONE, x, y)
+    _add_product(out, -eps, y, x)
     return out
 
 

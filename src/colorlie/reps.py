@@ -262,7 +262,11 @@ class IrreducibleComponent:
 
 def decompose(rep: Representation, rs: RootSystem) -> list:
     """Complete-reducibility decomposition with an exact direct-sum rank
-    certificate."""
+    certificate.
+
+    It does not certify that rep is a color representation: on matrices
+    that are not one it can still return components.  Call
+    is_representation first, as the `rep-decompose` and `casimir` verbs do."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
     hw, raising = _highest_weights_and_raising(rep, rs)

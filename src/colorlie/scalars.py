@@ -168,6 +168,61 @@ MINUS_ONE = GQ(-1)
 TWO = GQ(2)
 
 
+# -- the sparse kernel -------------------------------------------------------
+# Sparse vectors are dicts {index: GQ} with no stored zeros.  These loops read
+# the triples directly: with every denominator 1, a product and a sum cost a
+# few integer operations and one allocation for the entry written.
+
+
+def _axpy(y: dict, p: int, q: int, d: int, x: dict) -> None:
+    """y += ((p + q*i)/d) * x for a nonzero normalized coefficient."""
+    get = y.get
+    for j, v in x.items():
+        w = get(j)
+        e, f, g = v._a, v._b, v._d
+        re, im = p * e - q * f, p * f + q * e
+        if d == 1 and g == 1 and (w is None or w._d == 1):
+            if w is not None:
+                re += w._a
+                im += w._b
+            if re or im:
+                z = _new(GQ)
+                z._a, z._b, z._d = re, im, 1
+                y[j] = z
+            elif w is not None:
+                del y[j]
+            continue
+        z = _make(re, im, d * g)
+        if w is not None:
+            z = w + z
+        if z:
+            y[j] = z
+        elif w is not None:
+            del y[j]
+
+
+def axpy(y: dict, a: GQ, x: dict) -> None:
+    """y += a*x in place; a == 0 is a no-op and a key that cancels is
+    deleted, so y never stores a zero."""
+    if a._a or a._b:
+        _axpy(y, a._a, a._b, a._d, x)
+
+
+def addmul(y: dict, s: GQ, row: dict, rows: list) -> None:
+    """y += s * sum_k row[k] * rows[k] in place: row i of s*(A @ B) added
+    into y, for row = A[i] and rows = B's rows."""
+    sa, sb, sd = s._a, s._b, s._d
+    if not (sa or sb):
+        return
+    for k, c in row.items():
+        if sd == 1 and c._d == 1:
+            ca, cb = c._a, c._b
+            _axpy(y, sa * ca - sb * cb, sa * cb + sb * ca, 1, rows[k])
+        else:
+            c = s * c
+            _axpy(y, c._a, c._b, c._d, rows[k])
+
+
 def _coerce(x) -> GQ:
     if isinstance(x, GQ):
         return x
@@ -191,11 +246,15 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" (or "p", or an int, but not a bool) into a Fraction."""
+    """Parse "p/q" (or "p", or an int, but not a bool) into a Fraction.
+    Malformed input, a zero denominator included, raises ValueError."""
     if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"not a rational string: {s!r}")
 
 

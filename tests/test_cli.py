@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -223,3 +224,37 @@ def test_malformed_algebra_exits_2(capsys, tmp_path, doc):
     assert "input error" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
+
+@pytest.mark.parametrize("where", ["structure", "cartanHint", "matrices"])
+def test_zero_denominator_exits_2(capsys, alg_file, rep_file, tmp_path, where):
+    """A rational "1/0" in an algebra structure record, a cartanHint record
+    or a representation matrix entry is an input error, not a traceback."""
+    bad = tmp_path / "bad.json"
+    if where == "matrices":
+        doc = json.loads(rep_file.read_text())
+        doc["matrices"][0][0][0] = ["1/0", "0"]
+        argv = ["rep-decompose", str(bad), "--algebra", str(alg_file)]
+    else:
+        doc = json.loads(alg_file.read_text())
+        record = doc["structure"][0] if where == "structure" else doc["cartanHint"][0][0]
+        record["re"] = "1/0"
+        argv = ["roots", str(bad)]
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{argv[0]}: input error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_deep_nesting_exits_2(capsys, monkeypatch, tmp_path, stdin):
+    """JSON nested past the parser's recursion limit is an input error."""
+    text = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "validate", "-" if stdin else str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "validate: input error: JSON nested too deeply\n"

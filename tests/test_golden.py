@@ -6,6 +6,10 @@ and so(4,2,2,2), of the verbs below run on those files, of hint-free
 so(2,2,2,2) + so(2,2,2,2).  Any change to
 these bytes is a change of the CLI contract and must be made on purpose,
 by regenerating the files and saying why.
+
+It also holds two module inputs: the defining representation of so(4,2,2,2)
+(module_so4222_defining.json, as representation_to_json writes it) and the
+same file with matrices 5 and 6 swapped, which is not a representation.
 """
 import json
 import os
@@ -30,19 +34,6 @@ def stdout_of(capsys, *argv):
     out = capsys.readouterr().out
     assert code == 0
     return out.encode()
-
-
-@pytest.fixture(scope="module")
-def defining_file(tmp_path_factory):
-    from colorlie.algebra import from_matrices
-    from colorlie.families import SoParams, so_pqrs
-    from colorlie.reps import defining_representation
-
-    real = so_pqrs(SoParams(4, 2, 2, 2))
-    rep = defining_representation(from_matrices(real), real)
-    path = tmp_path_factory.mktemp("golden") / "defining.json"
-    path.write_text(json.dumps(serialize.representation_to_json(rep, "so4222")))
-    return path
 
 
 @pytest.mark.parametrize("name, pqrs", [
@@ -75,12 +66,44 @@ def test_dynkin(capsys):
         GOLDEN / "dynkin_so4222.dot").read_bytes()
 
 
+DEFINING = GOLDEN / "module_so4222_defining.json"
+SWAPPED = GOLDEN / "module_so4222_defining_swap56.json"
+
+
+def test_module_inputs():
+    """The committed module inputs are what the library writes for the
+    defining representation, and that file with matrices 5 and 6 swapped."""
+    from colorlie.reps import defining_representation
+
+    real = so_pqrs(SoParams(4, 2, 2, 2))
+    doc = serialize.representation_to_json(
+        defining_representation(from_matrices(real), real), "so4222")
+    assert (json.dumps(doc) + "\n").encode() == DEFINING.read_bytes()
+    m = doc["matrices"]
+    m[5], m[6] = m[6], m[5]
+    assert (json.dumps(doc) + "\n").encode() == SWAPPED.read_bytes()
+
+
 @pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
-def test_module_verb(capsys, defining_file, verb):
-    out = stdout_of(capsys, verb, defining_file,
-                    "--algebra", GOLDEN / "generate_so4222.json")
+def test_module_verb(capsys, verb):
+    out = stdout_of(capsys, verb, DEFINING, "--algebra", GOLDEN / "generate_so4222.json")
     golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining.json"
     assert out == golden.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
+def test_module_verb_rejects_non_representation(capsys, verb):
+    """With matrices 5 and 6 swapped the module is no representation, yet
+    decompose alone still finds one 10-dim component and a central Casimir.
+    Both verbs certify the module first: exit 1, the failing pair on stderr,
+    nothing on stdout."""
+    code = main([verb, str(SWAPPED), "--algebra", str(GOLDEN / "generate_so4222.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"{verb}: color homomorphism: FAIL at pair (9,5); "
+        "pi([ei,ej]) != pi(ei)pi(ej) -/+ pi(ej)pi(ei)\n")
 
 
 def test_roots_direct_sum(capsys, tmp_path):
