@@ -174,11 +174,10 @@ class MatrixRealization:
             self.block_of.extend([b] * size)
         self.basis_degrees = [self._degree_of(m) for m in self.matrices]
 
-    def block_pair_degree(self, bi: int, bj: int):
-        return degree_add(self.block_degrees[bi], self.block_degrees[bj])
-
     def _degree_of(self, m: SMat):
-        degs = m.degree_support(self.block_of, self.block_pair_degree)
+        # entry (r, c) has the sum of the degrees of the blocks of r and c
+        bdeg = [self.block_degrees[b] for b in self.block_of]
+        degs = {degree_add(bdeg[r], bdeg[c]) for r, row in enumerate(m.rows) for c in row}
         if len(degs) > 1:
             raise ValueError(f"matrix is not homogeneous: degrees {sorted(degs)}")
         return next(iter(degs)) if degs else ZERO_DEGREE
@@ -336,26 +335,22 @@ def from_matrices(m: MatrixRealization) -> GradedAlgebra:
     """
     n = len(m.matrices)
     amb = m.ambient_dim
+
+    def flat(mat: SMat) -> dict:
+        return {r * amb + c: v for r, row in enumerate(mat.rows) for c, v in row.items()}
+
     sb = SubspaceBasis()
     for mat in m.matrices:
-        flat = {}
-        for r, row in enumerate(mat.rows):
-            for c, v in row.items():
-                flat[r * amb + c] = v
-        if not sb.add(flat):
+        if not sb.add(flat(mat)):
             raise ValueError("basis matrices are not linearly independent")
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):  # [x, x] = 0 for homogeneous x: eps(a, a) = 1
-            comm = graded_commutator(m.matrices[i], m.matrices[j],
-                                     sign(m.basis_degrees[i], m.basis_degrees[j]))
-            flat = {}
-            for r, row in enumerate(comm.rows):
-                for c, v in row.items():
-                    flat[r * amb + c] = v
-            coords = sb.coords(flat)
+            comm = flat(graded_commutator(m.matrices[i], m.matrices[j],
+                                          sign(m.basis_degrees[i], m.basis_degrees[j])))
+            coords = sb.coords(comm)
             if coords is None:
-                raise NotClosed(i, j, sb.residual(flat))
+                raise NotClosed(i, j, sb.residual(comm))
             if coords:
                 structure[(i, j)] = coords
     return GradedAlgebra(m.basis_degrees, structure, labels=m.labels)

@@ -137,15 +137,6 @@ class SMat:
                     s = s + a * b
         return s
 
-    def degree_support(self, block_of: list, block_degree) -> set:
-        """Degrees block_degree(block_of[i], block_of[j]) present among nonzeros."""
-        degs = set()
-        for i, row in enumerate(self.rows):
-            bi = block_of[i]
-            for j in row:
-                degs.add(block_degree(bi, block_of[j]))
-        return degs
-
 
 def lincomb(mats: list, x: dict, n: int) -> SMat:
     """sum_i x[i] * mats[i] for a coefficient vector x over n x n matrices."""

@@ -168,7 +168,6 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
 class RootDatum:
     alpha: tuple  # rational values on the Cartan basis
     spaces_by_degree: dict  # Degree -> list of coefficient vectors
-    h_alpha: dict  # Killing-dual coefficient vector
 
     @property
     def dim(self) -> int:
@@ -292,8 +291,7 @@ def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:
         for a, vecs in spaces.items():
             if len(vecs) > 1:
                 raise CertificateFailed(f"dim g_alpha^a > 1 for alpha={alpha}, a={a}")
-        h_alpha = killing_dual(t, gram_inv, alpha)
-        roots.append(RootDatum(alpha, spaces, h_alpha))
+        roots.append(RootDatum(alpha, spaces))
     rs = RootSystem(t, roots, zero_part, gram_inv)
     # closed under negation
     for rd in roots:
@@ -338,7 +336,7 @@ def sl2_triplet(g: GradedAlgebra, rs: RootSystem, alpha, degree) -> Sl2Triplet:
     norm = GQ(rs.inner(alpha, alpha))
     scale = TWO / norm
     x = vec_scale(e, scale)
-    h = vec_scale(rs.datum(alpha).h_alpha, scale)
+    h = vec_scale(killing_dual(rs.cartan, rs.gram_inv, alpha), scale)
     for lhs, rhs, text in ((g.bracket(h, x), vec_scale(x, TWO), "[h,x] != 2x"),
                            (g.bracket(h, y), vec_scale(y, GQ(-2)), "[h,y] != -2y"),
                            (g.bracket(x, y), h, "[x,y] != h")):
@@ -541,17 +539,13 @@ class EnhancedDynkin:
 
 
 def cartan_matrix(rs: RootSystem, simple=None) -> list:
+    """cm[i][k] = <alpha_i, alpha_k^vee> over `simple`, an ordering of
+    rs.simple (rs.simple itself by default), read off the simple-root frame.
+    The entries are integers: positive_and_simple certified that each s_k
+    maps the simple root alpha_i to a root, which has integer coordinates."""
     simple = simple if simple is not None else rs.simple
-    out = []
-    for a in simple:
-        row = []
-        for b in simple:
-            c = rs.cartan_number(a, b)
-            if c.denominator != 1:
-                raise CertificateFailed("Cartan number is not an integer")
-            row.append(int(c))
-        out.append(row)
-    return out
+    cols = [rs.simple.index(b) for b in simple]
+    return [[int(p[k]) for k in cols] for p in map(rs.pairings, simple)]
 
 
 def dynkin_components(cm: list) -> list:

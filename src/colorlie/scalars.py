@@ -10,6 +10,7 @@ point anywhere.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -245,12 +246,16 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" (or "p", or an int, but not a bool) into a Fraction.
-    Malformed input, a zero denominator included, raises ValueError."""
+    """Parse a string matching -?[0-9]+(/[0-9]+)?, or an int but not a bool,
+    into a Fraction; anything else, a zero denominator included, raises
+    ValueError."""
     if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str):
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
         try:
             return Fraction(s)
         except ZeroDivisionError:

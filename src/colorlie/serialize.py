@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedAlgebra, MatrixRealization
+from .algebra import GradedAlgebra
 from .linalg import SMat
 from .scalars import gq_to_pair, pair_to_gq, rational_str
 
@@ -76,7 +76,7 @@ def cartan_hint_from_json(doc: dict, dim: int):
 
 
 # --------------------------------------------------------------------------
-# matrix realizations and representations
+# representations
 # --------------------------------------------------------------------------
 
 def _dense_matrix(m: SMat):
@@ -91,27 +91,6 @@ def _matrix_from_dense(rows) -> SMat:
             if v:
                 m.rows[i][j] = v
     return m
-
-
-def realization_to_json(real: MatrixRealization) -> dict:
-    doc = {
-        "ambientDim": real.ambient_dim,
-        "blockSizes": list(real.block_sizes),
-        "blockDegrees": [list(d) for d in real.block_degrees],
-        "matrices": [_dense_matrix(m) for m in real.matrices],
-    }
-    if real.labels:
-        doc["labels"] = list(real.labels)
-    return doc
-
-
-def realization_from_json(doc: dict) -> MatrixRealization:
-    return MatrixRealization(
-        doc["blockSizes"],
-        [tuple(d) for d in doc["blockDegrees"]],
-        [_matrix_from_dense(rows) for rows in doc["matrices"]],
-        labels=doc.get("labels"),
-    )
 
 
 def representation_to_json(rep, algebra_ref: str = "") -> dict:

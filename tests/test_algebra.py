@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -172,8 +173,13 @@ def _subalgebra_dim(g, gens):
     return sb.dim
 
 
+# the 490 parameter tuples with 2 <= p+q+r+s <= 8, drawn directly: a filter
+# over all 4-tuples in [0, 8] keeps about 7.5% of its draws
+SO_PARAMS = [t for t in product(range(9), repeat=4) if 2 <= sum(t) <= 8]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(*[st.integers(0, 8)] * 4).filter(lambda t: 2 <= sum(t) <= 8))
+@given(st.sampled_from(SO_PARAMS))
 def test_generating_set_generates_so_pqrs(params):
     g = _so(params)
     gens = generating_set(g)

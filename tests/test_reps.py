@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from colorlie.algebra import GradedAlgebra, homomorphism_failure
 from colorlie.errors import (
+    CertificateFailed,
     DimensionMismatch,
     NonIntegralWeight,
     NotSelfCentralizing,
@@ -207,6 +208,27 @@ def test_decompose_trivial_sum(g4222, rs4222):
     assert [c.dim for c in comps] == [1, 1]
     assert all(c.highest_weight == tuple(Fraction(0) for _ in range(5)) for c in comps)
     assert all(c.casimir_value == 0 for c in comps)
+
+
+def test_decompose_rejects_non_invariant_sum(g4222, defn4222, rs4222):
+    """V+V for the defining module V, with a rank-1 map added to
+    pi(x_{e1-e2}): copy 2's e2 weight vector e3 + i e2 (dual functional
+    (e3* - i e2*)/2) goes onto copy 1's e1 weight vector e1 + i e0.  Weights
+    and highest-weight vectors are those of V+V, but U(g) of copy 2's
+    highest-weight vector reaches copy 1's, so no component is certified."""
+    double = direct_sum_rep(defn4222, defn4222)
+    x = g4222.labels.index("E[+1e1-1e2]")
+    m = double.matrices[x].copy()
+    half = GQ(Fraction(1, 2))
+    for r, u in ((1, ONE), (0, I)):
+        for c, f in ((13, half), (12, -half * I)):
+            m.rows[r][c] = u * f
+    mats = list(double.matrices)
+    mats[x] = m
+    rep = Representation(g4222, 20, mats)
+    assert not is_representation(rep).ok
+    with pytest.raises(CertificateFailed):
+        decompose(rep, rs4222)
 
 
 def test_decompose_requires_self_centralizing(g4211, rs4211):

@@ -240,7 +240,7 @@ def _toy_root_system(roots):
     gram = SMat.identity(rank)
     alphas = [tuple(Fraction(x) for x in a) for a in roots]
     alphas += [tuple(-x for x in a) for a in alphas]
-    data = [RootDatum(a, {}, {}) for a in sorted(alphas)]
+    data = [RootDatum(a, {}) for a in sorted(alphas)]
     return RootSystem(CartanSubalgebra([unit_vec(i) for i in range(rank)], gram),
                       data, {}, gram)
 

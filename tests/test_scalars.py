@@ -68,6 +68,20 @@ def test_rational_str_round_trip():
     assert rational_str(Fraction(-1, 2)) == "-1/2"
 
 
+@pytest.mark.parametrize("text, message", [
+    *((t, "not a rational string") for t in
+      ("1e3", "0.5", " 1/2", "+3", "1_0", "-1/-2", "1e1000000")),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_parse_rational_is_strict(text, message):
+    """Only -?[0-9]+(/[0-9]+)? with a nonzero denominator parses: no decimal
+    or exponent form (which would also let a short string build a huge
+    integer), no whitespace, no "+" sign, no digit separator and no signed
+    denominator."""
+    with pytest.raises(ValueError, match=message):
+        parse_rational(text)
+
+
 def test_pair_round_trip():
     for z in (ZERO, ONE, I, GQ(Fraction(-2, 3), Fraction(5, 7))):
         assert pair_to_gq(gq_to_pair(z)) == z

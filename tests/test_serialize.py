@@ -27,15 +27,6 @@ def test_structure_records_are_rational_strings(g4222):
     assert isinstance(rec["re"], str) and isinstance(rec["im"], str)
 
 
-def test_realization_round_trip(fx4222):
-    doc = serialize.realization_to_json(fx4222.realization)
-    back = serialize.realization_from_json(json.loads(json.dumps(doc)))
-    assert back.block_sizes == fx4222.realization.block_sizes
-    assert back.block_degrees == fx4222.realization.block_degrees
-    assert back.matrices == fx4222.realization.matrices
-    assert back.basis_degrees == fx4222.realization.basis_degrees
-
-
 def test_representation_round_trip(g4222, defn4222):
     doc = serialize.representation_to_json(defn4222, algebra_ref="so4222")
     back = serialize.representation_from_json(json.loads(json.dumps(doc)), g4222)
