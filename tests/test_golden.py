@@ -7,9 +7,15 @@ so(2,2,2,2) + so(2,2,2,2).  Any change to
 these bytes is a change of the CLI contract and must be made on purpose,
 by regenerating the files and saying why.
 
-It also holds two module inputs: the defining representation of so(4,2,2,2)
-(module_so4222_defining.json, as representation_to_json writes it) and the
-same file with matrices 5 and 6 swapped, which is not a representation.
+It also holds three module inputs: the defining representation of
+so(4,2,2,2) (module_so4222_defining.json, as representation_to_json writes
+it), the same file with matrices 5 and 6 swapped, which is not a
+representation, and the defining module re-based by a dense unit-triangular
+matrix with its grading dropped (module_so4222_defining_rebased.json).
+
+decompose_so4222.json pins the library's decomposition reports and
+synthesized gradings on the modules of so(4,2,2,2), generated and on the
+worked basis.
 """
 import json
 import os
@@ -68,20 +74,43 @@ def test_dynkin(capsys):
 
 DEFINING = GOLDEN / "module_so4222_defining.json"
 SWAPPED = GOLDEN / "module_so4222_defining_swap56.json"
+REBASED = GOLDEN / "module_so4222_defining_rebased.json"
+# The change of basis P = 1 + L of the rebased module: the 45 entries of L
+# below the diagonal, row by row.  The module is P^-1 pi(x) P with no grading;
+# its Cartan operators leave no proper coordinate block invariant.
+REBASE_DEFINING = "+-0+-+0-++-+0-+-+-0++-+-0+-+-+0-++-0+--+0+-+-"
+
+
+def rebased_defining(rep):
+    from colorlie.linalg import SMat, invert
+    from colorlie.reps import Representation
+
+    p = SMat.identity(rep.dim)
+    entries = iter(REBASE_DEFINING)
+    for r in range(rep.dim):
+        for c in range(r):
+            e = next(entries)
+            if e != "0":
+                p.rows[r][c] = {"+": ONE, "-": MINUS_ONE}[e]
+    pinv = invert(p)
+    return Representation(rep.algebra, rep.dim, [pinv @ m @ p for m in rep.matrices])
 
 
 def test_module_inputs():
     """The committed module inputs are what the library writes for the
-    defining representation, and that file with matrices 5 and 6 swapped."""
+    defining representation, that file with matrices 5 and 6 swapped, and
+    the re-based defining representation."""
     from colorlie.reps import defining_representation
 
     real = so_pqrs(SoParams(4, 2, 2, 2))
-    doc = serialize.representation_to_json(
-        defining_representation(from_matrices(real), real), "so4222")
+    defining = defining_representation(from_matrices(real), real)
+    doc = serialize.representation_to_json(defining, "so4222")
     assert (json.dumps(doc) + "\n").encode() == DEFINING.read_bytes()
     m = doc["matrices"]
     m[5], m[6] = m[6], m[5]
     assert (json.dumps(doc) + "\n").encode() == SWAPPED.read_bytes()
+    doc = serialize.representation_to_json(rebased_defining(defining), "so4222")
+    assert (json.dumps(doc) + "\n").encode() == REBASED.read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
@@ -89,6 +118,62 @@ def test_module_verb(capsys, verb):
     out = stdout_of(capsys, verb, DEFINING, "--algebra", GOLDEN / "generate_so4222.json")
     golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining.json"
     assert out == golden.read_bytes()
+
+
+def test_rebased_module_verb(capsys):
+    out = stdout_of(capsys, "rep-decompose", REBASED,
+                    "--algebra", GOLDEN / "generate_so4222.json")
+    assert out == (GOLDEN / "rep_decompose_so4222_defining_rebased.json").read_bytes()
+
+
+def library_reports():
+    """{case: {"decomposition": decomposition_report, "grading": the
+    grading_synthesis result as "weight : degree" lines in weight order}}
+    on the defining, adjoint and tensor-square modules of so(4,2,2,2),
+    generated with its Cartan hint ("so4222") and on the worked basis with
+    its Cartan indices ("fx4222"), and on the re-based defining module."""
+    from colorlie.families import fixture_so4222
+    from colorlie.linalg import unit_vec
+    from colorlie.reps import (
+        adjoint_representation,
+        decompose,
+        defining_representation,
+        grading_synthesis,
+        tensor_product,
+    )
+    from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
+
+    fx = fixture_so4222()
+    params = SoParams(4, 2, 2, 2)
+    algebras = {
+        "so4222": (so_pqrs(params), so_cartan_hint(params)),
+        "fx4222": (fx.realization, [unit_vec(i) for i in fx.cartan_indices]),
+    }
+    reps = {}
+    for name, (real, hint) in algebras.items():
+        g = from_matrices(real)
+        rs = positive_and_simple(root_decomposition(g, validate_cartan(g, hint)))
+        defining = defining_representation(g, real)
+        reps[f"{name} defining"] = defining, rs
+        reps[f"{name} adjoint"] = adjoint_representation(g), rs
+        reps[f"{name} tensor"] = tensor_product(defining, defining), rs
+    defining, rs = reps["so4222 defining"]
+    reps["so4222 defining rebased"] = rebased_defining(defining), rs
+    return {
+        name: {
+            "decomposition": serialize.decomposition_report(decompose(rep, rs)),
+            "grading": [" ".join(serialize._frac_vec(mu)) + " : %d %d" % d
+                        for mu, d in sorted(grading_synthesis(rep, rs).items())],
+        }
+        for name, (rep, rs) in reps.items()
+    }
+
+
+def test_library_reports():
+    """Highest weights, dims, Casimir values, degreeOfHighestWeightSpace and
+    synthesized gradings are those pinned in decompose_so4222.json."""
+    got = json.dumps(library_reports(), indent=1, sort_keys=True) + "\n"
+    assert got == (GOLDEN / "decompose_so4222.json").read_text()
 
 
 @pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
