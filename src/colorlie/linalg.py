@@ -104,11 +104,7 @@ class SMat:
 
     def matvec(self, x: dict) -> dict:
         """M @ x for a sparse column vector x."""
-        y: dict = {}
-        cols = self.cols
-        for j, xj in x.items():
-            vec_axpy(y, xj, cols[j])
-        return y
+        return combine(self.cols, x)
 
     def __matmul__(self, other: "SMat") -> "SMat":
         out = SMat(self.nrows, other.ncols)
@@ -193,7 +189,7 @@ class SubspaceBasis:
 
     def __init__(self):
         self.rows: list = []  # echelon rows (sparse dicts), pivot entry == 1
-        self.pivots: list = []  # pivot column of each echelon row
+        self.pivots: dict = {}  # pivot column -> index of its echelon row
         self.track: list = []  # row i of echelon = sum track[i][k] * inserted[k]
         self.inserted: list = []
 
@@ -202,14 +198,13 @@ class SubspaceBasis:
         return len(self.rows)
 
     def _reduce(self, v: dict):
-        """Return (residual, coeffs) with v = residual + sum coeffs[i]*rows[i]."""
+        """Return (residual, coeffs) with v = residual + sum coeffs[i]*rows[i].
+        Row i is zero at every other pivot, so only v's own pivot columns
+        are visited, and row i's coefficient is v's entry at pivot i."""
+        pivots = self.pivots
+        coeffs = {i: v[p] for i, p in sorted((pivots[p], p) for p in v if p in pivots)}
         w = dict(v)
-        coeffs: dict = {}
-        for i, p in enumerate(self.pivots):
-            c = w.get(p)
-            if c is not None:
-                coeffs[i] = c
-                vec_axpy(w, -c, self.rows[i])
+        addmul(w, MINUS_ONE, coeffs, self.rows)
         return w, coeffs
 
     def residual(self, v: dict) -> dict:
@@ -221,12 +216,7 @@ class SubspaceBasis:
     def coords(self, v: dict):
         """Coordinates of v over the inserted vectors, or None if not in span."""
         w, coeffs = self._reduce(v)
-        if w:
-            return None
-        out: dict = {}
-        for i, c in coeffs.items():
-            vec_axpy(out, c, self.track[i])
-        return out
+        return None if w else combine(self.track, coeffs)
 
     def add(self, v: dict) -> bool:
         """Insert v; return True if it enlarged the subspace."""
@@ -249,8 +239,8 @@ class SubspaceBasis:
             if c is not None:
                 vec_axpy(row, -c, w)
                 vec_axpy(self.track[i], -c, t)
+        self.pivots[piv] = len(self.rows)
         self.rows.append(w)
-        self.pivots.append(piv)
         self.track.append(t)
         return True
 
@@ -282,13 +272,12 @@ def kernel_basis(m: SMat) -> list:
     for row in m.rows:
         if row:
             sb.add(dict(row))
-    pivset = set(sb.pivots)
     basis = []
     for j in range(m.ncols):
-        if j in pivset:
+        if j in sb.pivots:
             continue
         v = {j: ONE}
-        for i, p in enumerate(sb.pivots):
+        for p, i in sb.pivots.items():
             c = sb.rows[i].get(j)
             if c is not None:
                 v[p] = -c
@@ -296,21 +285,28 @@ def kernel_basis(m: SMat) -> list:
     return basis
 
 
-def joint_kernel(vectors: list, ops: list) -> list:
-    """Vectors in span(vectors) killed by every operator: the kernel of the
-    images stacked coordinate by coordinate, mapped back to the ambient space."""
+def combine(vectors: list, coeffs: dict) -> dict:
+    """sum_j coeffs[j] * vectors[j]."""
+    out: dict = {}
+    addmul(out, ONE, coeffs, vectors)
+    return out
+
+
+def image_kernel(image_lists: list, n: int) -> list:
+    """Coefficient vectors c on n vectors with sum_j c[j] * images[j] = 0 for
+    every list `images` (the images of the n vectors under one operator) in
+    image_lists: the kernel of the images stacked coordinate by coordinate."""
     rows = []
-    for op in ops:
-        images = [op.matvec(v) for v in vectors]
+    for images in image_lists:
         for coord in sorted(set().union(*images)):
             rows.append({j: im[coord] for j, im in enumerate(images) if coord in im})
-    out = []
-    for combo in kernel_basis(SMat(len(rows), len(vectors), rows)):
-        v: dict = {}
-        for j, c in combo.items():
-            vec_axpy(v, c, vectors[j])
-        out.append(v)
-    return out
+    return kernel_basis(SMat(len(rows), n, rows))
+
+
+def joint_kernel(vectors: list, ops: list) -> list:
+    """Vectors in span(vectors) killed by every operator."""
+    images = [[op.matvec(v) for v in vectors] for op in ops]
+    return [combine(vectors, c) for c in image_kernel(images, len(vectors))]
 
 
 def invert(m: SMat) -> SMat:
@@ -574,61 +570,112 @@ def minimal_polynomial(m: SMat) -> list:
     return mp
 
 
-def restriction_matrix(basis: SubspaceBasis, op: SMat) -> SMat:
-    """Matrix of op restricted to the (invariant) subspace, in basis coords."""
-    d = basis.dim
-    out = SMat(d, d)
-    for k, v in enumerate(basis.inserted):
-        w = op.matvec(v)
-        c = basis.coords(w)
-        if c is None:
-            raise ValueError("subspace is not invariant under the operator")
-        for i, val in c.items():
-            out.rows[i][k] = val
-    return out
+def _coordinate_blocks(vectors: list, operators: list):
+    """For distinct coordinate vectors e_i: the connected components of the
+    operators' joint sparsity pattern on their indices, each a sorted index
+    list, in order of least index.  Every block spans a subspace that each
+    operator leaves invariant.  None for other vectors, or when an operator
+    maps some e_i outside their span."""
+    if any(len(v) != 1 or ONE not in v.values() for v in vectors):
+        return None
+    parent = {i: i for v in vectors for i in v}
+    if len(parent) != len(vectors):
+        return None
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for op in operators:
+        for r, row in enumerate(op.rows):
+            for c in row:
+                if c in parent:
+                    if r not in parent:
+                        return None
+                    parent[root(r)] = root(c)
+    blocks: dict = {}
+    for i in sorted(parent):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
 
 
-def eigensplit(vectors: list, operators: list):
-    """Split span(vectors) into joint (generalized) eigenspaces.
-
-    vectors: sparse ambient vectors spanning an invariant subspace of every
-    operator.  Returns a list of (eigentuple, [ambient vectors]) sorted by the
-    eigenvalue tuples; raises IrrationalEigenvalue when a minimal polynomial
-    does not split over Q(i).
-    """
-    pieces = [((), list(vectors))]
+def _split(vectors: list, operators: list) -> list:
+    """(eigentuple, vectors) pieces of the span of independent vectors."""
+    pieces = [((), vectors)]
     for op in operators:
         new_pieces = []
         for prefix, vecs in pieces:
-            sb = SubspaceBasis()
-            sb.extend(vecs)
-            vecs = sb.inserted
-            if sb.dim == 0:
+            if not vecs:
                 continue
-            r = restriction_matrix(sb, op)
-            mp = minimal_polynomial(r)
-            roots, residual = gaussian_rational_roots(mp)
+            images = [op.matvec(v) for v in vecs]
+            k = next(iter(vecs[0]))
+            lam = images[0].get(k, ZERO) / vecs[0][k]
+            if all(im == vec_scale(v, lam) for v, im in zip(vecs, images)):
+                new_pieces.append((prefix + (lam,), vecs))  # op is lam here
+                continue
+            d = len(vecs)
+            if all(v == {j: ONE} for j, v in enumerate(vecs)):
+                cols = images  # a coordinate piece: op's columns
+            else:
+                sb = SubspaceBasis()
+                sb.extend(vecs)
+                cols = [sb.coords(w) for w in images]
+            if any(c is None or any(i >= d for i in c) for c in cols):
+                raise ValueError("subspace is not invariant under the operator")
+            r = SMat(d, d)
+            for j, c in enumerate(cols):
+                for i, x in c.items():
+                    r.rows[i][j] = x
+            roots, residual = gaussian_rational_roots(minimal_polynomial(r))
             if residual:
                 raise IrrationalEigenvalue(
                     f"minimal polynomial has an irreducible factor of degree {residual}"
                 )
             total = 0
             for lam, mult in roots:
-                shifted = r - SMat.identity(r.nrows).scaled(lam)
+                shifted = r - SMat.identity(d).scaled(lam)
                 power = shifted
                 for _ in range(mult - 1):
                     power = power @ shifted
-                ker = kernel_basis(power)
-                amb = []
-                for kv in ker:
-                    w: dict = {}
-                    for j, c in kv.items():
-                        vec_axpy(w, c, vecs[j])
-                    amb.append(w)
+                amb = [combine(vecs, kv) for kv in kernel_basis(power)]
                 total += len(amb)
                 new_pieces.append((prefix + (lam,), amb))
-            if total != sb.dim:
+            if total != d:
                 raise CertificateFailed("eigenspace dimensions do not add up")
         pieces = new_pieces
+    return pieces
+
+
+def eigensplit(vectors: list, operators: list):
+    """Split span(vectors) into joint (generalized) eigenspaces.
+
+    vectors: sparse ambient vectors spanning an invariant subspace of every
+    operator.  When they are distinct coordinate vectors, the blocks of
+    `_coordinate_blocks` isolate invariant subspaces, as in Parlett and
+    Reinsch, Numer. Math. 13 (1969) 293: each block is split on its own, on
+    the operators' submatrices, and the pieces are merged by eigentuple,
+    block by block.  Other vectors are split whole.  A piece on which an
+    operator acts as a scalar stays whole; any other piece splits by the
+    roots of the operator's minimal polynomial there.  Returns a list of
+    (eigentuple, [ambient vectors]) sorted by the eigenvalue tuples; raises
+    IrrationalEigenvalue when a minimal polynomial does not split over Q(i).
+    """
+    blocks = _coordinate_blocks(vectors, operators)
+    if blocks is None:
+        sb = SubspaceBasis()
+        sb.extend(vectors)
+        pieces = _split(sb.inserted, operators)
+    else:
+        merged: dict = {}
+        for block in blocks:
+            local = {i: k for k, i in enumerate(block)}
+            subs = [SMat(len(block), len(block),
+                         [{local[c]: x for c, x in op.rows[i].items() if c in local}
+                          for i in block]) for op in operators]
+            for eig, vecs in _split([unit_vec(k) for k in range(len(block))], subs):
+                merged.setdefault(eig, []).extend(
+                    {block[k]: x for k, x in v.items()} for v in vecs)
+        pieces = list(merged.items())
     pieces.sort(key=lambda p: tuple((v.re, v.im) for v in p[0]))
     return pieces

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .algebra import (
     GradedAlgebra,
@@ -32,18 +34,18 @@ from .grading import check_degree, degree_add, sign
 from .linalg import (
     SMat,
     SubspaceBasis,
-    closure,
+    combine,
     eigensplit,
+    image_kernel,
     invert,
-    joint_kernel,
     kron,
     lincomb,
     unit_vec,
     vec_axpy,
     vec_scale,
 )
-from .roots import RootSystem, is_self_centralizing, root_degree
-from .scalars import GQ, ONE
+from .roots import RootSystem, is_self_centralizing, killing_value, root_degree
+from .scalars import GQ, ONE, ZERO
 
 
 @dataclass
@@ -69,7 +71,10 @@ class Representation:
             self.grading = [check_degree(a) for a in self.grading]
 
     def apply(self, x: dict) -> SMat:
-        """pi(x) for x given by coefficients on the algebra basis."""
+        """pi(x) for x given by coefficients on the algebra basis; for a
+        basis vector, its matrix itself rather than a copy."""
+        if len(x) == 1 and ONE in x.values():
+            return self.matrices[next(iter(x))]
         return lincomb(self.matrices, x, self.dim)
 
 
@@ -197,17 +202,21 @@ class WeightDecomposition:
 
 
 def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposition:
-    """Joint exact eigenspaces of {pi(H)} over the Cartan basis; raises
+    """Joint exact eigenspaces of {pi(H)} over the Cartan basis, split by
+    eigensplit from the coordinate vectors, so on the invariant coordinate
+    blocks of the Cartan operators when they have any.  Raises
     NonIntegralWeight unless every weight is integral against the simple
-    coroots (and so against every root)."""
+    coroots (and so against every root).  Equal weight coordinates are one
+    Fraction object."""
     ops = [rep.apply(h) for h in rs.cartan.basis]
     pieces = eigensplit([unit_vec(i) for i in range(rep.dim)], ops)
     spaces = {}
+    shared: dict = {}
     total = 0
     for eig, vecs in pieces:
         if any(not v.is_rational() for v in eig):
             raise NonIntegralWeight("weight takes a non-rational value on the Cartan")
-        mu = tuple(v.re for v in eig)
+        mu = tuple(shared.setdefault(v.re, v.re) for v in eig)
         if any(c.denominator != 1 for c in rs.pairings(mu)):
             raise NonIntegralWeight(f"weight {mu} is not integral")
         spaces[mu] = vecs
@@ -217,34 +226,142 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
     return WeightDecomposition(sorted(spaces), spaces)
 
 
-def _root_operators(rep: Representation, rs: RootSystem) -> list:
-    """The raising operators: pi of the root vectors over Delta+."""
-    ops = []
-    for alpha in rs.positive:
-        rd = rs.datum(alpha)
-        for a in rd.degrees():
-            ops.extend(rep.apply(v) for v in rd.spaces_by_degree[a])
-    return ops
+def _lattice(vectors: list) -> list:
+    """Integer tuples for rational vectors, each scaled by the lcm of all
+    their denominators, so that they add as the vectors do."""
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
+
+
+def _show(weight) -> str:
+    return "(" + ",".join(map(str, weight)) + ")"
+
+
+def _root_action(rep: Representation, rs: RootSystem, wd: WeightDecomposition):
+    """The module in weight coordinates, weights numbered in wd.weights
+    order: (roots, moves).  roots lists (alpha, degree, x, raising) over the
+    root vectors x; moves[i][k] = (j, cols) where pi(x_k) is nonzero on the
+    i-th weight space, V_mu, with V_mu+alpha the j-th and cols[c] the
+    coordinates over its basis of pi(x_k) w_c, for the basis w_c of V_mu.
+    Each pi(x_k) is applied once to each weight vector.
+
+    Certifies that each pi(h_k) of the Cartan basis acts on V_mu by mu_k
+    and that pi(x_k) maps V_mu into V_{mu+alpha}.  The Cartan basis and the
+    root vectors form a basis of g (root_decomposition certified it), and
+    pi is linear: a sum of subspaces of weight spaces closed under every
+    pi(x_k) is invariant under every pi(e_i)."""
+    spaces = [wd.spaces[mu] for mu in wd.weights]
+    for k, h in enumerate(rs.cartan.basis):
+        op = rep.apply(h)
+        for mu, vecs in zip(wd.weights, spaces):
+            lam = GQ(mu[k])
+            if any(op.matvec(v) != vec_scale(v, lam) for v in vecs):
+                raise CertificateFailed(
+                    f"Cartan basis vector {k} does not act by {mu[k]} on V_{_show(mu)}")
+    spans = []
+    for vecs in spaces:
+        spans.append(SubspaceBasis())
+        spans[-1].extend(vecs)
+    positive = set(rs.positive)
+    roots = [(rd.alpha, a, x, rd.alpha in positive)
+             for rd in rs.roots for a in rd.degrees() for x in rd.spaces_by_degree[a]]
+    keys = _lattice(wd.weights + [alpha for alpha, *_ in roots])
+    index = {key: i for i, key in enumerate(keys[:len(spaces)])}
+    moves = [{} for _ in spaces]
+    for k, (alpha, _, x, _) in enumerate(roots):
+        op = rep.apply(x)
+        shift = keys[len(spaces) + k]
+        for i, mu in enumerate(wd.weights):
+            images = [op.matvec(v) for v in spaces[i]]
+            if not any(images):
+                continue
+            j = index.get(tuple(map(add, keys[i], shift)))
+            cols = [None] if j is None else [spans[j].coords(w) for w in images]
+            if None in cols:
+                raise CertificateFailed(
+                    f"the root vector of weight {_show(alpha)} maps V_{_show(mu)} "
+                    f"outside V_{_show(map(add, mu, alpha))}")
+            moves[i][k] = j, cols
+    return roots, moves
+
+
+def _highest_weights(rs: RootSystem, wd: WeightDecomposition, roots, moves) -> dict:
+    """{weight index: kernel} in weight order wherever the kernel is
+    nonzero: the coordinates over V_mu's basis of the vectors every raising
+    operator kills.  NonIntegralWeight unless each such weight is dominant."""
+    out = {}
+    for i, mu in enumerate(wd.weights):
+        raising = [cols for k, (_, cols) in moves[i].items() if roots[k][3]]
+        ker = image_kernel(raising, wd.multiplicity(mu))
+        if not ker:
+            continue
+        if any(c < 0 for c in rs.pairings(mu)):
+            raise NonIntegralWeight(f"highest weight {mu} is not dominant")
+        out[i] = ker
+    return out
 
 
 def highest_weight_vectors(rep: Representation, rs: RootSystem):
     """(weight, kernel basis) pairs; NonIntegralWeight unless every highest
     weight is dominant integral."""
-    return _highest_weights_and_raising(rep, rs)[0]
-
-
-def _highest_weights_and_raising(rep: Representation, rs: RootSystem):
     wd = weight_decomposition(rep, rs)
-    ops = _root_operators(rep, rs)
-    out = []
-    for mu in wd.weights:
-        ker = joint_kernel(wd.spaces[mu], ops)
-        if not ker:
-            continue
-        if any(c < 0 for c in rs.pairings(mu)):
-            raise NonIntegralWeight(f"highest weight {mu} is not dominant")
-        out.append((mu, ker))
-    return out, ops
+    roots, moves = _root_action(rep, rs, wd)
+    return [(wd.weights[i], [combine(wd.spaces[wd.weights[i]], u) for u in ker])
+            for i, ker in _highest_weights(rs, wd, roots, moves).items()]
+
+
+def _casimir_blocks(rep: Representation, rs: RootSystem, wd: WeightDecomposition,
+                    roots, moves) -> list:
+    """Omega on each weight space V_mu, as columns over its basis: the same
+    sum_i pi(Z_i) pi(Z^i), K(Z_k, Z^i) = delta, as casimir_matrix, over the
+    Cartan basis and the root vectors instead of the standard basis.  The
+    Cartan terms act on V_mu by <mu, mu>; the dual of a root vector x is
+    y / K(x, y), y the root vector of -alpha in x's degree, certified here
+    to pair with nothing else in the basis."""
+    gram = killing_form(rep.algebra)
+    index = {(alpha, a): k for k, (alpha, a, _, _) in enumerate(roots)}
+    dual = []
+    for alpha, a, x, _ in roots:
+        p = index.get((tuple(-c for c in alpha), a))
+        pairing = ZERO if p is None else killing_value(gram, x, roots[p][2])
+        if not pairing:
+            raise SingularForm("Killing form is singular; no Casimir element")
+        others = [z for b, d, z, _ in roots if d == a and b != alpha]
+        if a == (0, 0):
+            others += rs.cartan.basis
+        if any(killing_value(gram, z, roots[p][2]) for z in others):
+            raise CertificateFailed("root vectors are not Killing-dual to their negatives")
+        dual.append((p, ONE / pairing))
+    omega = []
+    for i, mu in enumerate(wd.weights):
+        base = GQ(rs.inner(mu, mu))
+        cols = [{c: base} if base else {} for c in range(wd.multiplicity(mu))]
+        for k, (p, s) in enumerate(dual):
+            if p in moves[i] and k in moves[moves[i][p][0]]:
+                down = moves[i][p][1]
+                up = moves[moves[i][p][0]][k][1]
+                for col, w in zip(cols, down):
+                    vec_axpy(col, s, combine(up, w))
+        omega.append(cols)
+    return omega
+
+
+def _cyclic(i: int, u: dict, moves) -> dict:
+    """{weight index: SubspaceBasis} spanning the smallest sum of subspaces
+    of weight spaces that holds u in the i-th and is closed under every
+    pi(x_k): breadth-first images in weight coordinates."""
+    spans = {i: SubspaceBasis()}
+    spans[i].add(u)
+    frontier = [(i, u)]
+    while frontier:
+        new = []
+        for i, w in frontier:
+            for j, cols in moves[i].values():
+                img = combine(cols, w)
+                if img and spans.setdefault(j, SubspaceBasis()).add(img):
+                    new.append((j, img))
+        frontier = new
+    return spans
 
 
 @dataclass
@@ -260,50 +377,67 @@ class IrreducibleComponent:
 
 
 def decompose(rep: Representation, rs: RootSystem) -> list:
-    """Complete-reducibility decomposition: one component per vector v of a
-    basis of each highest-weight space, the cyclic submodule U(g)v built as
-    the closure of v under every basis matrix (Humphreys, Introduction to
-    Lie Algebras and Representation Theory, 20-21), so invariant by
-    construction.  Certified per component: its highest-weight space is the
-    line through v, and Omega acts on every basis vector by
-    <lambda, lambda + 2 rho>; then the components are in direct sum and
-    fill V.  So Omega commutes with every pi(e_i).
+    """Complete-reducibility decomposition in weight coordinates (de Graaf,
+    Lie Algebras: Theory and Algorithms, 2000): `_root_action` applies
+    each root vector once to each weight vector and certifies that the
+    blocks map V_mu into V_{mu+alpha}.  One component per vector v of a
+    basis of each highest-weight space: the cyclic submodule U(g)v, the
+    closure of v under the root vectors (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 20-21), which is invariant under
+    every pi(e_i) because the root vectors and the Cartan basis are a basis
+    of g.  Certified per component and per weight: its highest-weight space
+    is the line through v, and Omega acts by <lambda, lambda + 2 rho> on
+    each of its weight blocks; then the components are in direct sum and
+    fill V, weight by weight.  So Omega commutes with every pi(e_i).
 
     It does not certify that rep is a color representation: on matrices
     that are not one it can still return components.  Call
     is_representation first, as the `rep-decompose` and `casimir` verbs do."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
-    hw, raising = _highest_weights_and_raising(rep, rs)
-    omega = casimir_matrix(rep)
+    wd = weight_decomposition(rep, rs)
+    roots, moves = _root_action(rep, rs, wd)
+    hw = _highest_weights(rs, wd, roots, moves)
+    omega = _casimir_blocks(rep, rs, wd, roots, moves)
+    spaces = [wd.spaces[mu] for mu in wd.weights]
     components = []
-    cert = SubspaceBasis()
-    for mu, kernel in sorted(hw):
+    cert = [SubspaceBasis() for _ in spaces]
+    for i, kernel in hw.items():
+        mu = wd.weights[i]
         expected = casimir_eigenvalue_formula(rs, mu)
         scalar = GQ(expected)
-        for v in kernel:
-            basis = [dict(r) for r in closure(v, rep.matrices).rows]
-            hw_line = joint_kernel(basis, raising)
-            if len(hw_line) != 1:
+        for u in kernel:
+            spans = _cyclic(i, u, moves)
+            # the component's highest-weight space at V_nu is its part
+            # there intersected with V_nu's, which hw holds
+            line = 0
+            for j in hw.keys() & spans.keys():
+                both = SubspaceBasis()
+                both.extend(spans[j].inserted + hw[j])
+                line += spans[j].dim + len(hw[j]) - both.dim
+            if line != 1:
                 raise CertificateFailed(
                     f"highest-weight space of the lambda={mu} component has "
-                    f"dimension {len(hw_line)}"
+                    f"dimension {line}"
                 )
-            # v lies in the span of the basis, so this covers Omega v too
-            if any(omega.matvec(w) != vec_scale(w, scalar) for w in basis):
-                raise CertificateFailed("Casimir does not act by <l,l+2rho>")
+            basis = []
+            for j, sb in spans.items():
+                if any(combine(omega[j], w) != vec_scale(w, scalar) for w in sb.inserted):
+                    raise CertificateFailed("Casimir does not act by <l,l+2rho>")
+                if not all(map(cert[j].add, sb.inserted)):
+                    raise DecompositionIncomplete(
+                        "components are not in direct sum (rank certificate failed)"
+                    )
+                basis += [combine(spaces[j], w) for w in sb.inserted]
             deg = None
             if rep.grading is not None:
-                degs = {rep.grading[i] for i in v}
+                degs = {rep.grading[c] for c in combine(spaces[i], u)}
                 deg = degs.pop() if len(degs) == 1 else None
             components.append(IrreducibleComponent(mu, basis, expected, deg))
-            if not all(map(cert.add, basis)):
-                raise DecompositionIncomplete(
-                    "components are not in direct sum (rank certificate failed)"
-                )
-    if cert.dim != rep.dim:
+    spanned = sum(sb.dim for sb in cert)
+    if spanned != rep.dim:
         raise DecompositionIncomplete(
-            f"components span {cert.dim} of {rep.dim} dimensions"
+            f"components span {spanned} of {rep.dim} dimensions"
         )
     return components
 
@@ -367,19 +501,26 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
                     deg = degree_add(deg, nd)
             grading[mu] = deg
     # graded-module condition: pi(g_beta^a) V_mu subseteq V_{mu+beta} with
-    # degree additivity wherever the action is nonzero
-    for rd in rs.roots:
+    # degree additivity wherever the action is nonzero.  Only a pair whose
+    # target is no weight or has another degree can fail, so only there is
+    # the image computed, and pi of a root vector only when some pair needs it
+    keys = _lattice(wd.weights + [rd.alpha for rd in rs.roots])
+    by_key = dict(zip(keys, wd.weights))
+    for rd, shift in zip(rs.roots, keys[len(wd.weights):]):
         a = root_degree(rs, rd.alpha)
-        op = rep.apply(rd.spaces_by_degree[a][0])
-        for mu in wd.weights:
-            target = tuple(m + x for m, x in zip(mu, rd.alpha))
+        op = None
+        for mu, key in zip(wd.weights, keys):
+            target = by_key.get(tuple(map(add, key, shift)))
+            if target is not None and grading[target] == degree_add(a, grading[mu]):
+                continue
+            if op is None:
+                op = rep.apply(rd.spaces_by_degree[a][0])
             if any(op.matvec(v) for v in wd.spaces[mu]):
-                if target not in grading:
+                if target is None:
                     raise CertificateFailed("action leaves the weight set")
-                if grading[target] != degree_add(a, grading[mu]):
-                    raise CertificateFailed(
-                        "synthesized grading violates the graded-module condition"
-                    )
+                raise CertificateFailed(
+                    "synthesized grading violates the graded-module condition"
+                )
     return wd, grading
 
 

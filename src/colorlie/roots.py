@@ -47,7 +47,7 @@ class CartanSubalgebra:
         return len(self.basis)
 
 
-def _killing_value(gram: SMat, x: dict, y: dict) -> GQ:
+def killing_value(gram: SMat, x: dict, y: dict) -> GQ:
     s = ZERO
     for i, xi in x.items():
         row = gram.rows[i]
@@ -86,7 +86,7 @@ def validate_cartan(g: GradedAlgebra, basis) -> CartanSubalgebra:
     gram = SMat(r, r)
     for a in range(r):
         for b in range(a, r):
-            v = _killing_value(gram_full, basis[a], basis[b])
+            v = killing_value(gram_full, basis[a], basis[b])
             if v:
                 gram.rows[a][b] = v
                 if a != b:
@@ -327,7 +327,7 @@ def sl2_triplet(g: GradedAlgebra, rs: RootSystem, alpha, degree) -> Sl2Triplet:
     e = rd.spaces_by_degree[degree][0]
     f = rd_neg.spaces_by_degree[degree][0]
     gram = killing_form(g)
-    pairing = _killing_value(gram, e, f)
+    pairing = killing_value(gram, e, f)
     if not pairing:
         raise PairingDegenerate(
             f"K(E_alpha, E_-alpha) = 0 for alpha={alpha}, degree={degree}"

@@ -191,6 +191,22 @@ def test_module_verb_rejects_non_representation(capsys, verb):
         "pi([ei,ej]) != pi(ei)pi(ej) -/+ pi(ej)pi(ei)\n")
 
 
+def test_library_decompose_rejects_non_representation():
+    """decompose does not certify a representation, but on the swapped
+    module some root vector maps a weight space outside the weight space
+    it must land in, so no decomposition is returned."""
+    from colorlie.errors import CertificateFailed
+    from colorlie.reps import decompose
+    from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
+
+    doc = json.loads((GOLDEN / "generate_so4222.json").read_text())
+    g = serialize.algebra_from_json(doc)
+    t = validate_cartan(g, serialize.cartan_hint_from_json(doc, g.dim))
+    rep = serialize.representation_from_json(json.loads(SWAPPED.read_text()), g)
+    with pytest.raises(CertificateFailed, match="outside"):
+        decompose(rep, positive_and_simple(root_decomposition(g, t)))
+
+
 def test_roots_direct_sum(capsys, tmp_path):
     """`roots` on so(2,2,2,2) + so(2,2,2,2), with the two standard tori as
     cartanHint, reports a D4+D4 diagram and that the sum is not simple."""
