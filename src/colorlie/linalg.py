@@ -108,7 +108,7 @@ class SMat:
 
     def __matmul__(self, other: "SMat") -> "SMat":
         out = SMat(self.nrows, other.ncols)
-        _add_product(out, ONE, self, other)
+        add_product(out, ONE, self, other)
         return out
 
     def transpose(self) -> "SMat":
@@ -143,7 +143,7 @@ def lincomb(mats: list, x: dict, n: int) -> SMat:
     return SMat(n, n, rows)
 
 
-def _add_product(out: SMat, s: GQ, a: SMat, b: SMat) -> None:
+def add_product(out: SMat, s: GQ, a: SMat, b: SMat) -> None:
     """out += s * (a @ b), one row accumulator per row of out."""
     brows = b.rows
     for acc, row in zip(out.rows, a.rows):
@@ -153,8 +153,8 @@ def _add_product(out: SMat, s: GQ, a: SMat, b: SMat) -> None:
 def graded_commutator(x: SMat, y: SMat, eps: GQ) -> SMat:
     """x @ y - eps * (y @ x), both products accumulated into one result."""
     out = SMat(x.nrows, y.ncols)
-    _add_product(out, ONE, x, y)
-    _add_product(out, -eps, y, x)
+    add_product(out, ONE, x, y)
+    add_product(out, -eps, y, x)
     return out
 
 
@@ -187,11 +187,12 @@ class SubspaceBasis:
 
     __slots__ = ("rows", "pivots", "track", "inserted")
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows: list = []  # echelon rows (sparse dicts), pivot entry == 1
         self.pivots: dict = {}  # pivot column -> index of its echelon row
         self.track: list = []  # row i of echelon = sum track[i][k] * inserted[k]
         self.inserted: list = []
+        self.extend(vectors)
 
     @property
     def dim(self) -> int:
@@ -199,8 +200,7 @@ class SubspaceBasis:
 
     def _reduce(self, v: dict):
         """Return (residual, coeffs) with v = residual + sum coeffs[i]*rows[i].
-        Row i is zero at every other pivot, so only v's own pivot columns
-        are visited, and row i's coefficient is v's entry at pivot i."""
+        Row i is zero at the other pivots, so its coefficient is v[pivot i]."""
         pivots = self.pivots
         coeffs = {i: v[p] for i, p in sorted((pivots[p], p) for p in v if p in pivots)}
         w = dict(v)
@@ -252,8 +252,7 @@ class SubspaceBasis:
 def closure(v: dict, ops: list) -> SubspaceBasis:
     """Smallest subspace containing v and invariant under every operator:
     breadth-first images, with exact rank checks for termination."""
-    sb = SubspaceBasis()
-    sb.add(v)
+    sb = SubspaceBasis([v])
     frontier = [v]
     while frontier:
         new = []
@@ -268,10 +267,7 @@ def closure(v: dict, ops: list) -> SubspaceBasis:
 
 def kernel_basis(m: SMat) -> list:
     """Basis of {x : m @ x = 0} as sparse vectors."""
-    sb = SubspaceBasis()
-    for row in m.rows:
-        if row:
-            sb.add(dict(row))
+    sb = SubspaceBasis(dict(row) for row in m.rows if row)
     basis = []
     for j in range(m.ncols):
         if j in sb.pivots:
@@ -292,39 +288,26 @@ def combine(vectors: list, coeffs: dict) -> dict:
     return out
 
 
-def image_kernel(image_lists: list, n: int) -> list:
-    """Coefficient vectors c on n vectors with sum_j c[j] * images[j] = 0 for
-    every list `images` (the images of the n vectors under one operator) in
-    image_lists: the kernel of the images stacked coordinate by coordinate."""
-    rows = []
-    for images in image_lists:
-        for coord in sorted(set().union(*images)):
-            rows.append({j: im[coord] for j, im in enumerate(images) if coord in im})
-    return kernel_basis(SMat(len(rows), n, rows))
-
-
 def joint_kernel(vectors: list, ops: list) -> list:
-    """Vectors in span(vectors) killed by every operator."""
-    images = [[op.matvec(v) for v in vectors] for op in ops]
-    return [combine(vectors, c) for c in image_kernel(images, len(vectors))]
+    """Vectors in span(vectors) killed by every operator: the kernel of the
+    images stacked coordinate by coordinate, mapped back to the ambient space."""
+    rows = []
+    for op in ops:
+        stacked: dict = {}
+        for j, v in enumerate(vectors):
+            for coord, x in op.matvec(v).items():
+                stacked.setdefault(coord, {})[j] = x
+        rows += [stacked[coord] for coord in sorted(stacked)]
+    return [combine(vectors, c) for c in kernel_basis(SMat(len(rows), len(vectors), rows))]
 
 
 def invert(m: SMat) -> SMat:
     """Exact inverse of a nonsingular matrix."""
     n = m.nrows
-    sb = SubspaceBasis()
-    for i in range(n):
-        sb.add(dict(m.cols[i]))  # columns as vectors; coords give inverse action
+    sb = SubspaceBasis(dict(c) for c in m.cols)  # coords give the inverse action
     if sb.dim < n:
         raise SingularForm("matrix is singular")
-    out = SMat(n, n)
-    for j in range(n):
-        c = sb.coords(unit_vec(j))
-        if c is None:
-            raise SingularForm("matrix is singular")
-        for i, v in c.items():
-            out.rows[i][j] = v
-    return out
+    return SMat(n, n, [sb.coords(unit_vec(j)) for j in range(n)]).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -570,112 +553,76 @@ def minimal_polynomial(m: SMat) -> list:
     return mp
 
 
-def _coordinate_blocks(vectors: list, operators: list):
-    """For distinct coordinate vectors e_i: the connected components of the
-    operators' joint sparsity pattern on their indices, each a sorted index
-    list, in order of least index.  Every block spans a subspace that each
-    operator leaves invariant.  None for other vectors, or when an operator
-    maps some e_i outside their span."""
-    if any(len(v) != 1 or ONE not in v.values() for v in vectors):
-        return None
-    parent = {i: i for v in vectors for i in v}
-    if len(parent) != len(vectors):
-        return None
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
+def _coordinate_blocks(vectors: list, operators: list) -> list:
+    """Distinct coordinate vectors split into the connected components of the
+    operators' joint sparsity pattern, each an invariant subspace (e_i in
+    index order); any other vectors form one block, a basis of their span."""
+    block = {i: [i] for v in vectors for i, c in v.items() if len(v) == 1 and c == ONE}
+    if len(block) != len(vectors):
+        return [SubspaceBasis(vectors).inserted]
     for op in operators:
         for r, row in enumerate(op.rows):
             for c in row:
-                if c in parent:
-                    if r not in parent:
-                        return None
-                    parent[root(r)] = root(c)
-    blocks: dict = {}
-    for i in sorted(parent):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
-
-
-def _split(vectors: list, operators: list) -> list:
-    """(eigentuple, vectors) pieces of the span of independent vectors."""
-    pieces = [((), vectors)]
-    for op in operators:
-        new_pieces = []
-        for prefix, vecs in pieces:
-            if not vecs:
-                continue
-            images = [op.matvec(v) for v in vecs]
-            k = next(iter(vecs[0]))
-            lam = images[0].get(k, ZERO) / vecs[0][k]
-            if all(im == vec_scale(v, lam) for v, im in zip(vecs, images)):
-                new_pieces.append((prefix + (lam,), vecs))  # op is lam here
-                continue
-            d = len(vecs)
-            if all(v == {j: ONE} for j, v in enumerate(vecs)):
-                cols = images  # a coordinate piece: op's columns
-            else:
-                sb = SubspaceBasis()
-                sb.extend(vecs)
-                cols = [sb.coords(w) for w in images]
-            if any(c is None or any(i >= d for i in c) for c in cols):
-                raise ValueError("subspace is not invariant under the operator")
-            r = SMat(d, d)
-            for j, c in enumerate(cols):
-                for i, x in c.items():
-                    r.rows[i][j] = x
-            roots, residual = gaussian_rational_roots(minimal_polynomial(r))
-            if residual:
-                raise IrrationalEigenvalue(
-                    f"minimal polynomial has an irreducible factor of degree {residual}"
-                )
-            total = 0
-            for lam, mult in roots:
-                shifted = r - SMat.identity(d).scaled(lam)
-                power = shifted
-                for _ in range(mult - 1):
-                    power = power @ shifted
-                amb = [combine(vecs, kv) for kv in kernel_basis(power)]
-                total += len(amb)
-                new_pieces.append((prefix + (lam,), amb))
-            if total != d:
-                raise CertificateFailed("eigenspace dimensions do not add up")
-        pieces = new_pieces
-    return pieces
+                if c in block and block[c] is not block.get(r):
+                    if r not in block:
+                        raise ValueError("subspace is not invariant under the operator")
+                    merged = block[r] + block[c]
+                    for i in merged:
+                        block[i] = merged
+    blocks = {id(block[i]): block[i] for i in sorted(block)}
+    return [[unit_vec(i) for i in sorted(b)] for b in blocks.values()]
 
 
 def eigensplit(vectors: list, operators: list):
     """Split span(vectors) into joint (generalized) eigenspaces.
 
     vectors: sparse ambient vectors spanning an invariant subspace of every
-    operator.  When they are distinct coordinate vectors, the blocks of
-    `_coordinate_blocks` isolate invariant subspaces, as in Parlett and
-    Reinsch, Numer. Math. 13 (1969) 293: each block is split on its own, on
-    the operators' submatrices, and the pieces are merged by eigentuple,
-    block by block.  Other vectors are split whole.  A piece on which an
-    operator acts as a scalar stays whole; any other piece splits by the
-    roots of the operator's minimal polynomial there.  Returns a list of
-    (eigentuple, [ambient vectors]) sorted by the eigenvalue tuples; raises
-    IrrationalEigenvalue when a minimal polynomial does not split over Q(i).
-    """
-    blocks = _coordinate_blocks(vectors, operators)
-    if blocks is None:
-        sb = SubspaceBasis()
-        sb.extend(vectors)
-        pieces = _split(sb.inserted, operators)
-    else:
-        merged: dict = {}
-        for block in blocks:
-            local = {i: k for k, i in enumerate(block)}
-            subs = [SMat(len(block), len(block),
-                         [{local[c]: x for c, x in op.rows[i].items() if c in local}
-                          for i in block]) for op in operators]
-            for eig, vecs in _split([unit_vec(k) for k in range(len(block))], subs):
-                merged.setdefault(eig, []).extend(
-                    {block[k]: x for k, x in v.items()} for v in vecs)
-        pieces = list(merged.items())
-    pieces.sort(key=lambda p: tuple((v.re, v.im) for v in p[0]))
-    return pieces
+    operator.  The blocks of `_coordinate_blocks` isolate invariant
+    subspaces, as in Parlett and Reinsch, Numer. Math. 13 (1969) 293: each
+    is split on its own and the pieces are merged by eigentuple, block by
+    block.  A piece on which an operator acts as a scalar stays whole; any
+    other splits by the roots of the operator's minimal polynomial there.
+    Returns a list of (eigentuple, [ambient vectors]) sorted by the
+    eigenvalue tuples; raises IrrationalEigenvalue when a minimal polynomial
+    does not split over Q(i)."""
+    merged, local = {}, {}  # local: per call, the split of each restriction met
+    for block in _coordinate_blocks(vectors, operators):
+        pieces = [((), block)]
+        for op in operators:
+            new_pieces = []
+            for prefix, vecs in pieces:  # vecs are independent
+                if not vecs:
+                    continue
+                images = [op.matvec(v) for v in vecs]
+                k = next(iter(vecs[0]))
+                lam = images[0].get(k, ZERO) / vecs[0][k]
+                if all(im == vec_scale(v, lam) for v, im in zip(vecs, images)):
+                    new_pieces.append((prefix + (lam,), vecs))  # op is lam here
+                    continue
+                sb = SubspaceBasis(vecs)
+                cols = [sb.coords(w) for w in images]
+                if None in cols:
+                    raise ValueError("subspace is not invariant under the operator")
+                r = SMat(sb.dim, sb.dim, cols).transpose()
+                key = tuple(tuple(row.items()) for row in r.rows)
+                if key not in local:  # the same restriction recurs across blocks
+                    roots, residual = gaussian_rational_roots(minimal_polynomial(r))
+                    if residual:
+                        raise IrrationalEigenvalue(
+                            f"minimal polynomial has an irreducible factor of degree {residual}"
+                        )
+                    local[key] = []
+                    for lam, mult in roots:
+                        shifted = r - SMat.identity(r.nrows).scaled(lam)
+                        power = shifted
+                        for _ in range(mult - 1):
+                            power = power @ shifted
+                        local[key].append((lam, kernel_basis(power)))
+                    if sum(len(kernel) for _, kernel in local[key]) != sb.dim:
+                        raise CertificateFailed("eigenspace dimensions do not add up")
+                for lam, kernel in local[key]:
+                    new_pieces.append((prefix + (lam,), [combine(vecs, kv) for kv in kernel]))
+            pieces = new_pieces
+        for eig, vecs in pieces:
+            merged.setdefault(eig, []).extend(vecs)
+    return sorted(merged.items(), key=lambda p: tuple((v.re, v.im) for v in p[0]))

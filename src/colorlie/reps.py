@@ -34,18 +34,19 @@ from .grading import check_degree, degree_add, sign
 from .linalg import (
     SMat,
     SubspaceBasis,
+    add_product,
+    closure,
     combine,
     eigensplit,
-    image_kernel,
     invert,
+    kernel_basis,
     kron,
     lincomb,
     unit_vec,
-    vec_axpy,
     vec_scale,
 )
 from .roots import RootSystem, is_self_centralizing, killing_value, root_degree
-from .scalars import GQ, ONE, ZERO
+from .scalars import GQ, ONE
 
 
 @dataclass
@@ -151,14 +152,9 @@ def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
     if r1.algebra is not r2.algebra:
         raise DimensionMismatch("direct sum requires the same algebra")
     n = r1.dim + r2.dim
-    mats = []
-    for a, b in zip(r1.matrices, r2.matrices):
-        m = SMat(n, n)
-        for i, row in enumerate(a.rows):
-            m.rows[i] = dict(row)
-        for i, row in enumerate(b.rows):
-            m.rows[r1.dim + i] = {r1.dim + j: v for j, v in row.items()}
-        mats.append(m)
+    mats = [SMat(n, n, [dict(row) for row in a.rows]
+                 + [{r1.dim + j: v for j, v in row.items()} for row in b.rows])
+            for a, b in zip(r1.matrices, r2.matrices)]
     grading = None
     if r1.grading is not None and r2.grading is not None:
         grading = list(r1.grading) + list(r2.grading)
@@ -168,18 +164,13 @@ def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
 def casimir_matrix(rep: Representation) -> SMat:
     """Omega = sum_i pi(Z_i) pi(Z^i) over Killing-dual bases; avoids the
     square roots an orthonormal basis would need."""
-    g = rep.algebra
-    gram = killing_form(g)
     try:
-        ginv = invert(gram)
+        ginv = invert(killing_form(rep.algebra))
     except SingularForm:
         raise SingularForm("Killing form is singular; no Casimir element")
     omega = SMat(rep.dim, rep.dim)
-    for i in range(g.dim):
-        dual = rep.apply(ginv.cols[i])  # pi(Z^i)
-        prod = rep.matrices[i] @ dual
-        for r, row in enumerate(prod.rows):
-            vec_axpy(omega.rows[r], ONE, row)
+    for i, m in enumerate(rep.matrices):
+        add_product(omega, ONE, m, rep.apply(ginv.cols[i]))  # pi(e_i) pi(Z^i)
     return omega
 
 
@@ -203,11 +194,10 @@ class WeightDecomposition:
 
 def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposition:
     """Joint exact eigenspaces of {pi(H)} over the Cartan basis, split by
-    eigensplit from the coordinate vectors, so on the invariant coordinate
-    blocks of the Cartan operators when they have any.  Raises
+    eigensplit from the coordinate vectors, so on the Cartan operators'
+    invariant coordinate blocks; equal weight coordinates are one Fraction.
     NonIntegralWeight unless every weight is integral against the simple
-    coroots (and so against every root).  Equal weight coordinates are one
-    Fraction object."""
+    coroots (and so against every root)."""
     ops = [rep.apply(h) for h in rs.cartan.basis]
     pieces = eigensplit([unit_vec(i) for i in range(rep.dim)], ops)
     spaces = {}
@@ -227,141 +217,64 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
 
 
 def _lattice(vectors: list) -> list:
-    """Integer tuples for rational vectors, each scaled by the lcm of all
-    their denominators, so that they add as the vectors do."""
+    """Integer tuples that add as the rational vectors do: all scaled alike."""
     scale = lcm(*(x.denominator for v in vectors for x in v))
     return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
-def _show(weight) -> str:
-    return "(" + ",".join(map(str, weight)) + ")"
-
-
-def _root_action(rep: Representation, rs: RootSystem, wd: WeightDecomposition):
-    """The module in weight coordinates, weights numbered in wd.weights
-    order: (roots, moves).  roots lists (alpha, degree, x, raising) over the
-    root vectors x; moves[i][k] = (j, cols) where pi(x_k) is nonzero on the
-    i-th weight space, V_mu, with V_mu+alpha the j-th and cols[c] the
-    coordinates over its basis of pi(x_k) w_c, for the basis w_c of V_mu.
-    Each pi(x_k) is applied once to each weight vector.
-
-    Certifies that each pi(h_k) of the Cartan basis acts on V_mu by mu_k
-    and that pi(x_k) maps V_mu into V_{mu+alpha}.  The Cartan basis and the
-    root vectors form a basis of g (root_decomposition certified it), and
-    pi is linear: a sum of subspaces of weight spaces closed under every
-    pi(x_k) is invariant under every pi(e_i)."""
-    spaces = [wd.spaces[mu] for mu in wd.weights]
+def _weight_frame(rep: Representation, rs: RootSystem):
+    """(wd, basis, weight_of, roots, ops, hw): the weight decomposition, the
+    weight basis (the weight spaces' bases in wd.weights order), each basis
+    vector's weight index, (alpha, degree, x, raising) per root vector x,
+    each pi(x) over the weight basis, applied once to each weight vector,
+    and {weight index: basis of the nonzero highest-weight space there}.
+    Certifies that each pi(h) of the Cartan basis acts on V_mu by mu(h) and
+    that pi(x) maps V_mu into V_{mu+alpha}; NonIntegralWeight unless every
+    highest weight is dominant."""
+    wd = weight_decomposition(rep, rs)
+    basis = [v for mu in wd.weights for v in wd.spaces[mu]]
+    weight_of = [i for i, mu in enumerate(wd.weights) for _ in wd.spaces[mu]]
     for k, h in enumerate(rs.cartan.basis):
         op = rep.apply(h)
-        for mu, vecs in zip(wd.weights, spaces):
-            lam = GQ(mu[k])
-            if any(op.matvec(v) != vec_scale(v, lam) for v in vecs):
-                raise CertificateFailed(
-                    f"Cartan basis vector {k} does not act by {mu[k]} on V_{_show(mu)}")
-    spans = []
-    for vecs in spaces:
-        spans.append(SubspaceBasis())
-        spans[-1].extend(vecs)
+        if any(op.matvec(v) != vec_scale(v, GQ(wd.weights[i][k]))
+               for v, i in zip(basis, weight_of)):
+            raise CertificateFailed(f"Cartan basis vector {k} does not act by the weights")
+    spans = [SubspaceBasis(wd.spaces[mu]) for mu in wd.weights]
+    first = [weight_of.index(i) for i in range(len(spans))]
     positive = set(rs.positive)
     roots = [(rd.alpha, a, x, rd.alpha in positive)
              for rd in rs.roots for a in rd.degrees() for x in rd.spaces_by_degree[a]]
     keys = _lattice(wd.weights + [alpha for alpha, *_ in roots])
-    index = {key: i for i, key in enumerate(keys[:len(spaces)])}
-    moves = [{} for _ in spaces]
-    for k, (alpha, _, x, _) in enumerate(roots):
-        op = rep.apply(x)
-        shift = keys[len(spaces) + k]
-        for i, mu in enumerate(wd.weights):
-            images = [op.matvec(v) for v in spaces[i]]
-            if not any(images):
-                continue
-            j = index.get(tuple(map(add, keys[i], shift)))
-            cols = [None] if j is None else [spans[j].coords(w) for w in images]
-            if None in cols:
-                raise CertificateFailed(
-                    f"the root vector of weight {_show(alpha)} maps V_{_show(mu)} "
-                    f"outside V_{_show(map(add, mu, alpha))}")
-            moves[i][k] = j, cols
-    return roots, moves
-
-
-def _highest_weights(rs: RootSystem, wd: WeightDecomposition, roots, moves) -> dict:
-    """{weight index: kernel} in weight order wherever the kernel is
-    nonzero: the coordinates over V_mu's basis of the vectors every raising
-    operator kills.  NonIntegralWeight unless each such weight is dominant."""
-    out = {}
-    for i, mu in enumerate(wd.weights):
-        raising = [cols for k, (_, cols) in moves[i].items() if roots[k][3]]
-        ker = image_kernel(raising, wd.multiplicity(mu))
-        if not ker:
-            continue
-        if any(c < 0 for c in rs.pairings(mu)):
-            raise NonIntegralWeight(f"highest weight {mu} is not dominant")
-        out[i] = ker
-    return out
+    index = {key: i for i, key in enumerate(keys[:len(spans)])}
+    ops = []
+    for (alpha, _, x, _), shift in zip(roots, keys[len(spans):]):
+        op, cols = rep.apply(x), []
+        for v, i in zip(basis, weight_of):
+            image = op.matvec(v)
+            j = image and index.get(tuple(map(add, keys[i], shift)))
+            coords = {} if not image else None if j is None else spans[j].coords(image)
+            if coords is None:
+                raise CertificateFailed(f"pi(x) for the root {alpha} maps "
+                                        f"V_{wd.weights[i]} outside V_(mu+alpha)")
+            cols.append({first[j] + c: value for c, value in coords.items()})
+        ops.append(SMat(rep.dim, rep.dim, cols).transpose())
+    # the raising operators map weight spaces to weight spaces, so each
+    # vector of the basis of their joint kernel lies in one
+    hw: dict = {}
+    rows = [row for (*_, up), op in zip(roots, ops) if up for row in op.rows if row]
+    for v in kernel_basis(SMat(len(rows), rep.dim, rows)):
+        hw.setdefault(weight_of[next(iter(v))], []).append(v)
+    for i in hw:
+        if any(c < 0 for c in rs.pairings(wd.weights[i])):
+            raise NonIntegralWeight(f"highest weight {wd.weights[i]} is not dominant")
+    return wd, basis, weight_of, roots, ops, hw
 
 
 def highest_weight_vectors(rep: Representation, rs: RootSystem):
     """(weight, kernel basis) pairs; NonIntegralWeight unless every highest
     weight is dominant integral."""
-    wd = weight_decomposition(rep, rs)
-    roots, moves = _root_action(rep, rs, wd)
-    return [(wd.weights[i], [combine(wd.spaces[wd.weights[i]], u) for u in ker])
-            for i, ker in _highest_weights(rs, wd, roots, moves).items()]
-
-
-def _casimir_blocks(rep: Representation, rs: RootSystem, wd: WeightDecomposition,
-                    roots, moves) -> list:
-    """Omega on each weight space V_mu, as columns over its basis: the same
-    sum_i pi(Z_i) pi(Z^i), K(Z_k, Z^i) = delta, as casimir_matrix, over the
-    Cartan basis and the root vectors instead of the standard basis.  The
-    Cartan terms act on V_mu by <mu, mu>; the dual of a root vector x is
-    y / K(x, y), y the root vector of -alpha in x's degree, certified here
-    to pair with nothing else in the basis."""
-    gram = killing_form(rep.algebra)
-    index = {(alpha, a): k for k, (alpha, a, _, _) in enumerate(roots)}
-    dual = []
-    for alpha, a, x, _ in roots:
-        p = index.get((tuple(-c for c in alpha), a))
-        pairing = ZERO if p is None else killing_value(gram, x, roots[p][2])
-        if not pairing:
-            raise SingularForm("Killing form is singular; no Casimir element")
-        others = [z for b, d, z, _ in roots if d == a and b != alpha]
-        if a == (0, 0):
-            others += rs.cartan.basis
-        if any(killing_value(gram, z, roots[p][2]) for z in others):
-            raise CertificateFailed("root vectors are not Killing-dual to their negatives")
-        dual.append((p, ONE / pairing))
-    omega = []
-    for i, mu in enumerate(wd.weights):
-        base = GQ(rs.inner(mu, mu))
-        cols = [{c: base} if base else {} for c in range(wd.multiplicity(mu))]
-        for k, (p, s) in enumerate(dual):
-            if p in moves[i] and k in moves[moves[i][p][0]]:
-                down = moves[i][p][1]
-                up = moves[moves[i][p][0]][k][1]
-                for col, w in zip(cols, down):
-                    vec_axpy(col, s, combine(up, w))
-        omega.append(cols)
-    return omega
-
-
-def _cyclic(i: int, u: dict, moves) -> dict:
-    """{weight index: SubspaceBasis} spanning the smallest sum of subspaces
-    of weight spaces that holds u in the i-th and is closed under every
-    pi(x_k): breadth-first images in weight coordinates."""
-    spans = {i: SubspaceBasis()}
-    spans[i].add(u)
-    frontier = [(i, u)]
-    while frontier:
-        new = []
-        for i, w in frontier:
-            for j, cols in moves[i].values():
-                img = combine(cols, w)
-                if img and spans.setdefault(j, SubspaceBasis()).add(img):
-                    new.append((j, img))
-        frontier = new
-    return spans
+    wd, basis, _, _, _, hw = _weight_frame(rep, rs)
+    return [(wd.weights[i], [combine(basis, u) for u in ker]) for i, ker in hw.items()]
 
 
 @dataclass
@@ -378,67 +291,64 @@ class IrreducibleComponent:
 
 def decompose(rep: Representation, rs: RootSystem) -> list:
     """Complete-reducibility decomposition in weight coordinates (de Graaf,
-    Lie Algebras: Theory and Algorithms, 2000): `_root_action` applies
-    each root vector once to each weight vector and certifies that the
-    blocks map V_mu into V_{mu+alpha}.  One component per vector v of a
-    basis of each highest-weight space: the cyclic submodule U(g)v, the
-    closure of v under the root vectors (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 20-21), which is invariant under
-    every pi(e_i) because the root vectors and the Cartan basis are a basis
-    of g.  Certified per component and per weight: its highest-weight space
-    is the line through v, and Omega acts by <lambda, lambda + 2 rho> on
-    each of its weight blocks; then the components are in direct sum and
-    fill V, weight by weight.  So Omega commutes with every pi(e_i).
+    Lie Algebras: Theory and Algorithms, 2000), on `_weight_frame`.  One
+    component per vector v of a basis of each highest-weight space: the
+    cyclic submodule U(g)v, the closure of v under the root vectors
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    20-21).  They and the Cartan basis, which acts by scalars on weight
+    spaces, are a basis of g (root_decomposition certified it), so each
+    component is invariant under every pi(e_i).  Certified per component:
+    its highest-weight space is the line through v, and Omega acts by
+    <lambda, lambda + 2 rho> on its basis; then the components are in
+    direct sum and fill V.  So Omega commutes with every pi(e_i).  Omega is
+    sum_i pi(Z_i) pi(Z^i), K(Z_k, Z^i) = delta, as in casimir_matrix, over
+    the Cartan basis, acting on V_mu by <mu, mu>, and the root vectors: the
+    dual of x is y / K(x, y), y the root vector of -alpha in x's degree,
+    certified to pair with no other basis vector.
 
     It does not certify that rep is a color representation: on matrices
     that are not one it can still return components.  Call
     is_representation first, as the `rep-decompose` and `casimir` verbs do."""
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
-    wd = weight_decomposition(rep, rs)
-    roots, moves = _root_action(rep, rs, wd)
-    hw = _highest_weights(rs, wd, roots, moves)
-    omega = _casimir_blocks(rep, rs, wd, roots, moves)
-    spaces = [wd.spaces[mu] for mu in wd.weights]
-    components = []
-    cert = [SubspaceBasis() for _ in spaces]
+    wd, basis, weight_of, roots, ops, hw = _weight_frame(rep, rs)
+    gram = killing_form(rep.algebra)
+    norms = [GQ(rs.inner(mu, mu)) for mu in wd.weights]
+    terms = {ONE: SMat(rep.dim, rep.dim, [{r: norms[i]} if norms[i] else {}
+                                          for r, i in enumerate(weight_of)])}
+    partner = {(alpha, a): k for k, (alpha, a, _, _) in enumerate(roots)}
+    for op, (alpha, a, x, _) in zip(ops, roots):
+        p = partner.get((tuple(-c for c in alpha), a))
+        y = {} if p is None else roots[p][2]
+        others = [z for _, d, z, _ in roots if d == a and z is not x] + rs.cartan.basis
+        if not killing_value(gram, x, y) or any(killing_value(gram, z, y) for z in others):
+            raise SingularForm("root vectors are not Killing-dual to their negatives;"
+                               " no Casimir element")
+        term = terms.setdefault(ONE / killing_value(gram, x, y), SMat(rep.dim, rep.dim))
+        add_product(term, ONE, op, ops[p])  # integer products, scaled once per 1/K
+    omega = sum((term.scaled(s) for s, term in terms.items()), SMat(rep.dim, rep.dim))
+    hw_space = SubspaceBasis(v for kernel in hw.values() for v in kernel)
+    cert, components = SubspaceBasis(), []
     for i, kernel in hw.items():
         mu = wd.weights[i]
         expected = casimir_eigenvalue_formula(rs, mu)
-        scalar = GQ(expected)
-        for u in kernel:
-            spans = _cyclic(i, u, moves)
-            # the component's highest-weight space at V_nu is its part
-            # there intersected with V_nu's, which hw holds
-            line = 0
-            for j in hw.keys() & spans.keys():
-                both = SubspaceBasis()
-                both.extend(spans[j].inserted + hw[j])
-                line += spans[j].dim + len(hw[j]) - both.dim
+        for v in kernel:
+            span = closure(v, ops)  # its highest-weight space: where it meets hw_space
+            line = span.dim + hw_space.dim - SubspaceBasis(span.rows + hw_space.rows).dim
             if line != 1:
                 raise CertificateFailed(
-                    f"highest-weight space of the lambda={mu} component has "
-                    f"dimension {line}"
-                )
-            basis = []
-            for j, sb in spans.items():
-                if any(combine(omega[j], w) != vec_scale(w, scalar) for w in sb.inserted):
-                    raise CertificateFailed("Casimir does not act by <l,l+2rho>")
-                if not all(map(cert[j].add, sb.inserted)):
-                    raise DecompositionIncomplete(
-                        "components are not in direct sum (rank certificate failed)"
-                    )
-                basis += [combine(spaces[j], w) for w in sb.inserted]
-            deg = None
-            if rep.grading is not None:
-                degs = {rep.grading[c] for c in combine(spaces[i], u)}
-                deg = degs.pop() if len(degs) == 1 else None
-            components.append(IrreducibleComponent(mu, basis, expected, deg))
-    spanned = sum(sb.dim for sb in cert)
-    if spanned != rep.dim:
-        raise DecompositionIncomplete(
-            f"components span {spanned} of {rep.dim} dimensions"
-        )
+                    f"highest-weight space of the lambda={mu} component has dimension {line}")
+            if any(omega.matvec(w) != vec_scale(w, GQ(expected)) for w in span.rows):
+                raise CertificateFailed("Casimir does not act by <l,l+2rho>")
+            degs = {rep.grading[c] for c in combine(basis, v)} if rep.grading else ()
+            components.append(IrreducibleComponent(
+                mu, [combine(basis, w) for w in span.rows], expected,
+                degs.pop() if len(degs) == 1 else None))
+            if not all(map(cert.add, span.rows)):
+                raise DecompositionIncomplete(
+                    "components are not in direct sum (rank certificate failed)")
+    if cert.dim != rep.dim:
+        raise DecompositionIncomplete(f"components span {cert.dim} of {rep.dim} dimensions")
     return components
 
 
@@ -452,7 +362,6 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
         )
     g = r1.algebra
     n1, n2 = r1.dim, r2.dim
-    id1 = SMat.identity(n1)
     id2 = SMat.identity(n2)
     mats = []
     for k in range(g.dim):
@@ -473,9 +382,10 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
 
 def grading_synthesis(rep: Representation, rs: RootSystem) -> dict:
     """Degree per weight, via |V_mu| = sum n_i |alpha_i| inside each
-    root-lattice coset, base weight at degree (0,0).
-
-    Returns {weight: Degree}; certifies the graded-module condition."""
+    root-lattice coset, base weight at degree (0,0).  Returns {weight:
+    Degree}; certifies the graded-module condition, applying a root vector
+    to V_mu only where V_mu+alpha is no weight space or has another degree
+    than deg(alpha) + deg(mu): no other pair can fail."""
     return _synthesize_grading(rep, rs)[1]
 
 
@@ -507,20 +417,15 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
     keys = _lattice(wd.weights + [rd.alpha for rd in rs.roots])
     by_key = dict(zip(keys, wd.weights))
     for rd, shift in zip(rs.roots, keys[len(wd.weights):]):
-        a = root_degree(rs, rd.alpha)
-        op = None
+        a, op = root_degree(rs, rd.alpha), None
         for mu, key in zip(wd.weights, keys):
             target = by_key.get(tuple(map(add, key, shift)))
             if target is not None and grading[target] == degree_add(a, grading[mu]):
                 continue
-            if op is None:
-                op = rep.apply(rd.spaces_by_degree[a][0])
+            op = rep.apply(rd.spaces_by_degree[a][0]) if op is None else op
             if any(op.matvec(v) for v in wd.spaces[mu]):
-                if target is None:
-                    raise CertificateFailed("action leaves the weight set")
-                raise CertificateFailed(
-                    "synthesized grading violates the graded-module condition"
-                )
+                raise CertificateFailed("action leaves the weight set" if target is None else
+                                        "synthesized grading violates the graded-module condition")
     return wd, grading
 
 
@@ -528,16 +433,8 @@ def apply_synthesized_grading(rep: Representation, rs: RootSystem) -> Representa
     """The same module rewritten on the weight basis, carrying the synthesized
     grading."""
     wd, grading_by_weight = _synthesize_grading(rep, rs)
-    basis = []
-    grading = []
-    for mu in wd.weights:
-        for v in wd.spaces[mu]:
-            basis.append(v)
-            grading.append(grading_by_weight[mu])
-    p = SMat(rep.dim, rep.dim)
-    for j, v in enumerate(basis):
-        for i, c in v.items():
-            p.rows[i][j] = c
+    grading = [grading_by_weight[mu] for mu in wd.weights for _ in wd.spaces[mu]]
+    p = SMat(rep.dim, rep.dim, [v for mu in wd.weights for v in wd.spaces[mu]]).transpose()
     pinv = invert(p)
     mats = [pinv @ m @ p for m in rep.matrices]
     return Representation(rep.algebra, rep.dim, mats, grading=grading)

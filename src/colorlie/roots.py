@@ -276,8 +276,7 @@ def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:
                 zero_part[a] = vecs
             else:
                 # the zero-weight even part must be exactly the Cartan
-                sb = SubspaceBasis()
-                sb.extend(t.basis)
+                sb = SubspaceBasis(t.basis)
                 extra = [v for v in vecs if not sb.contains(v)]
                 if extra or len(vecs) != t.rank:
                     raise HintInvalid(
