@@ -252,8 +252,7 @@ class SubspaceBasis:
 def closure(v: dict, ops: list) -> SubspaceBasis:
     """Smallest subspace containing v and invariant under every operator:
     breadth-first images, with exact rank checks for termination."""
-    sb = SubspaceBasis([v])
-    frontier = [v]
+    sb, frontier = SubspaceBasis([v]), [v]
     while frontier:
         new = []
         for w in frontier:

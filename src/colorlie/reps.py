@@ -322,8 +322,8 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
         y = {} if p is None else roots[p][2]
         others = [z for _, d, z, _ in roots if d == a and z is not x] + rs.cartan.basis
         if not killing_value(gram, x, y) or any(killing_value(gram, z, y) for z in others):
-            raise SingularForm("root vectors are not Killing-dual to their negatives;"
-                               " no Casimir element")
+            raise SingularForm("the Killing form does not pair each root vector with its"
+                               " negative alone; no Casimir element")
         term = terms.setdefault(ONE / killing_value(gram, x, y), SMat(rep.dim, rep.dim))
         add_product(term, ONE, op, ops[p])  # integer products, scaled once per 1/K
     omega = sum((term.scaled(s) for s, term in terms.items()), SMat(rep.dim, rep.dim))
