@@ -226,8 +226,7 @@ class SubspaceBasis:
         k = len(self.inserted)
         self.inserted.append(v)
         t = {k: ONE}
-        for i, c in coeffs.items():
-            vec_axpy(t, -c, self.track[i])
+        addmul(t, MINUS_ONE, coeffs, self.track)
         # normalize pivot to 1
         piv = min(w)
         inv = ONE / w[piv]

@@ -152,9 +152,14 @@ def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
     if r1.algebra is not r2.algebra:
         raise DimensionMismatch("direct sum requires the same algebra")
     n = r1.dim + r2.dim
-    mats = [SMat(n, n, [dict(row) for row in a.rows]
-                 + [{r1.dim + j: v for j, v in row.items()} for row in b.rows])
-            for a, b in zip(r1.matrices, r2.matrices)]
+    mats = []
+    for a, b in zip(r1.matrices, r2.matrices):
+        m = SMat(n, n)
+        for i, row in enumerate(a.rows):
+            m.rows[i] = dict(row)
+        for i, row in enumerate(b.rows):
+            m.rows[r1.dim + i] = {r1.dim + j: v for j, v in row.items()}
+        mats.append(m)
     grading = None
     if r1.grading is not None and r2.grading is not None:
         grading = list(r1.grading) + list(r2.grading)
@@ -234,8 +239,7 @@ def _weight_frame(rep: Representation, rs: RootSystem):
     wd = weight_decomposition(rep, rs)
     basis = [v for mu in wd.weights for v in wd.spaces[mu]]
     weight_of = [i for i, mu in enumerate(wd.weights) for _ in wd.spaces[mu]]
-    for k, h in enumerate(rs.cartan.basis):
-        op = rep.apply(h)
+    for k, op in enumerate(map(rep.apply, rs.cartan.basis)):
         if any(op.matvec(v) != vec_scale(v, GQ(wd.weights[i][k]))
                for v, i in zip(basis, weight_of)):
             raise CertificateFailed(f"Cartan basis vector {k} does not act by the weights")

@@ -24,6 +24,7 @@ from .linalg import (
     SMat,
     SubspaceBasis,
     closure,
+    combine,
     eigensplit,
     gaussian_rational_roots,
     invert,
@@ -31,7 +32,6 @@ from .linalg import (
     minimal_polynomial,
     poly_is_squarefree,
     unit_vec,
-    vec_axpy,
     vec_scale,
 )
 from .scalars import GQ, I, MINUS_ONE, ONE, TWO, ZERO
@@ -240,11 +240,7 @@ class RootSystem:
 def killing_dual(cartan: CartanSubalgebra, gram_inv: SMat, alpha) -> dict:
     """The unique H_alpha in t with K(H_alpha, H) = alpha(H) for all H in t;
     gram_inv is the inverse of cartan.gram."""
-    coeffs = gram_inv.matvec({i: GQ(a) for i, a in enumerate(alpha) if a})
-    h: dict = {}
-    for i, c in coeffs.items():
-        vec_axpy(h, c, cartan.basis[i])
-    return h
+    return combine(cartan.basis, gram_inv.matvec({i: GQ(a) for i, a in enumerate(alpha) if a}))
 
 
 def root_decomposition(g: GradedAlgebra, t: CartanSubalgebra) -> RootSystem:

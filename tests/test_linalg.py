@@ -236,3 +236,24 @@ def test_eigensplit_irrational_raises():
     m = SMat.from_dense([[ZERO, GQ(2)], [ONE, ZERO]])  # eigenvalues +-sqrt(2)
     with pytest.raises(IrrationalEigenvalue):
         eigensplit([unit_vec(0), unit_vec(1)], [m])
+
+
+def test_eigensplit_blocks_agree_with_whole_split():
+    """Coordinate vectors split on the operators' invariant coordinate blocks
+    ({0, 2} and {1, 3} here, each carrying the swap [[0, 1], [1, 0]] under a
+    and 2 under b) give the joint eigenspaces that the whole span gives when
+    it is passed as other vectors, one of them dependent; a non-invariant
+    coordinate span is rejected."""
+    a = SMat(4, 4, [{2: ONE}, {3: ONE}, {0: ONE}, {1: ONE}])
+    b = SMat(4, 4, [{i: GQ(2)} for i in range(4)])
+    blocked = eigensplit([unit_vec(i) for i in range(4)], [a, b])
+    whole = eigensplit([{0: ONE, 1: ONE}, {1: ONE}, {0: GQ(2), 1: GQ(2)},
+                        {2: ONE}, {3: I}], [a, b])
+    assert [eig for eig, _ in blocked] == [eig for eig, _ in whole] == [
+        (MINUS_ONE, GQ(2)), (ONE, GQ(2))]
+    for (_, vecs), (_, other) in zip(blocked, whole):
+        assert len(vecs) == len(other) == 2
+        span = SubspaceBasis(vecs)
+        assert all(span.contains(v) for v in other)
+    with pytest.raises(ValueError, match="not invariant"):
+        eigensplit([unit_vec(0), unit_vec(1)], [a])
