@@ -405,7 +405,7 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
         coords = rs.coordinates(mu)
         cosets.setdefault(tuple(c % 1 for c in coords), []).append((mu, coords))
     node_degrees = [root_degree(rs, a) for a in rs.simple]
-    grading = {}
+    grading, shared = {}, {}  # shared: one tuple per distinct degree
     for members in cosets.values():
         top = max(members)[1]  # maximal under the fixed lexicographic order
         for mu, coords in members:
@@ -413,7 +413,7 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
             for c, t, nd in zip(coords, top, node_degrees):
                 if (c - t) % 2:
                     deg = degree_add(deg, nd)
-            grading[mu] = deg
+            grading[mu] = shared.setdefault(deg, deg)
     # graded-module condition: pi(g_beta^a) V_mu subseteq V_{mu+beta} with
     # degree additivity wherever the action is nonzero.  Only a pair whose
     # target is no weight or has another degree can fail, so only there is
