@@ -15,7 +15,7 @@ matrix with its grading dropped (module_so4222_defining_rebased.json).
 
 decompose_so4222.json pins the library's decomposition reports and
 synthesized gradings on the modules of so(4,2,2,2), generated and on the
-worked basis.
+worked basis, and on the re-based defining module.
 """
 import json
 import os
