@@ -7,11 +7,14 @@ so(2,2,2,2) + so(2,2,2,2).  Any change to
 these bytes is a change of the CLI contract and must be made on purpose,
 by regenerating the files and saying why.
 
-It also holds three module inputs: the defining representation of
+It also holds four module inputs: the defining representation of
 so(4,2,2,2) (module_so4222_defining.json, as representation_to_json writes
 it), the same file with matrices 5 and 6 swapped, which is not a
-representation, and the defining module re-based by a dense unit-triangular
-matrix with its grading dropped (module_so4222_defining_rebased.json).
+representation, the defining module re-based by a dense unit-triangular
+matrix with its grading dropped (module_so4222_defining_rebased.json), and
+the defining module conjugated by a diagonal matrix with Gaussian-rational
+entries, its grading kept (module_so4222_defining_rescaled.json), so that
+its matrices have entries with denominators other than 1.
 
 decompose_so4222.json pins the library's decomposition reports and
 synthesized gradings on the modules of so(4,2,2,2), generated and on the
@@ -19,6 +22,7 @@ worked basis, and on the re-based defining module.
 """
 import json
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +34,7 @@ from colorlie.algebra import MatrixRealization, direct_sum, from_matrices
 from colorlie.cli import main
 from colorlie.families import SoParams, so_cartan_hint, so_pqrs
 from colorlie.linalg import lincomb
-from colorlie.scalars import MINUS_ONE, ONE
+from colorlie.scalars import GQ, MINUS_ONE, ONE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +79,7 @@ def test_dynkin(capsys):
 DEFINING = GOLDEN / "module_so4222_defining.json"
 SWAPPED = GOLDEN / "module_so4222_defining_swap56.json"
 REBASED = GOLDEN / "module_so4222_defining_rebased.json"
+RESCALED = GOLDEN / "module_so4222_defining_rescaled.json"
 # The change of basis P = 1 + L of the rebased module: the 45 entries of L
 # below the diagonal, row by row.  The module is P^-1 pi(x) P with no grading;
 # its Cartan operators leave no proper coordinate block invariant.
@@ -96,10 +101,27 @@ def rebased_defining(rep):
     return Representation(rep.algebra, rep.dim, [pinv @ m @ p for m in rep.matrices])
 
 
+# The diagonal change of basis D of the rescaled module, which is
+# D^-1 pi(x) D with the grading of the defining module.
+RESCALE_DEFINING = [GQ(2), GQ(Fraction(1, 3)), GQ(1, 1), GQ(Fraction(-1, 2)), GQ(3),
+                    ONE, GQ(1, -1), GQ(Fraction(2, 5)), MINUS_ONE, GQ(0, 1)]
+
+
+def rescaled_defining(rep):
+    from colorlie.linalg import SMat
+    from colorlie.reps import Representation
+
+    d = RESCALE_DEFINING
+    mats = [SMat(rep.dim, rep.dim, [{c: v * d[c] / d[r] for c, v in row.items()}
+                                    for r, row in enumerate(m.rows)])
+            for m in rep.matrices]
+    return Representation(rep.algebra, rep.dim, mats, grading=rep.grading)
+
+
 def test_module_inputs():
     """The committed module inputs are what the library writes for the
-    defining representation, that file with matrices 5 and 6 swapped, and
-    the re-based defining representation."""
+    defining representation, that file with matrices 5 and 6 swapped, the
+    re-based defining representation and the rescaled one."""
     from colorlie.reps import defining_representation
 
     real = so_pqrs(SoParams(4, 2, 2, 2))
@@ -111,6 +133,8 @@ def test_module_inputs():
     assert (json.dumps(doc) + "\n").encode() == SWAPPED.read_bytes()
     doc = serialize.representation_to_json(rebased_defining(defining), "so4222")
     assert (json.dumps(doc) + "\n").encode() == REBASED.read_bytes()
+    doc = serialize.representation_to_json(rescaled_defining(defining), "so4222")
+    assert (json.dumps(doc) + "\n").encode() == RESCALED.read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
@@ -124,6 +148,15 @@ def test_rebased_module_verb(capsys):
     out = stdout_of(capsys, "rep-decompose", REBASED,
                     "--algebra", GOLDEN / "generate_so4222.json")
     assert out == (GOLDEN / "rep_decompose_so4222_defining_rebased.json").read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
+def test_rescaled_module_verb(capsys, verb):
+    """Both verbs certify the rescaled module, whose entries have
+    denominators up to 15, and print their pinned reports."""
+    out = stdout_of(capsys, verb, RESCALED, "--algebra", GOLDEN / "generate_so4222.json")
+    golden = GOLDEN / f"{verb.replace('-', '_')}_so4222_defining_rescaled.json"
+    assert out == golden.read_bytes()
 
 
 def library_reports():
