@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .algebra import (
@@ -45,7 +44,7 @@ from .linalg import (
     unit_vec,
     vec_scale,
 )
-from .roots import RootSystem, is_self_centralizing, killing_value, root_degree
+from .roots import RootSystem, _lattice, is_self_centralizing, killing_value, root_degree
 from .scalars import GQ, ONE
 
 
@@ -219,12 +218,6 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
     if total != rep.dim:
         raise CertificateFailed("weight spaces do not fill the module")
     return WeightDecomposition(sorted(spaces), spaces)
-
-
-def _lattice(vectors: list) -> list:
-    """Integer tuples that add as the rational vectors do: all scaled alike."""
-    scale = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
 def _weight_frame(rep: Representation, rs: RootSystem):

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
+from math import lcm
+from operator import add
 
 from .algebra import GradedAlgebra, killing_form, killing_radical
 from .errors import (
@@ -434,6 +436,12 @@ def default_order_key(alpha) -> int:
     return 0
 
 
+def _lattice(vectors: list) -> list:
+    """Integer tuples that add as the rational vectors do: all scaled alike."""
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
+
+
 def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
     """Choose Delta+, the simple roots, rho and the simple-root frame read by
     `RootSystem.pairings` and `RootSystem.coordinates`.
@@ -460,10 +468,10 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
         if k > 0:
             positive.append(rd.alpha)
     positive.sort()
-    posset = set(positive)
-    # the indecomposable positive roots, sorted since positive is
-    simple = [a for a in positive if not any(
-        tuple(x - y for x, y in zip(a, b)) in posset for b in positive if b != a)]
+    # the positive roots that are no sum of two, sorted since positive is
+    keys = _lattice(positive)
+    sums = {tuple(map(add, a, b)) for a in keys for b in keys}
+    simple = [a for a, key in zip(positive, keys) if key not in sums]
     rank = len(rs.cartan.basis)
     if len(simple) != rank:
         raise DegenerateOrder(f"{len(simple)} simple roots for rank {rank}")
