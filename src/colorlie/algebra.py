@@ -7,8 +7,8 @@ degree, so graded antisymmetry forces [e_i, e_i] = 0.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import CertificateFailed, DimensionMismatch, NotClosed
 from .grading import (
@@ -27,7 +27,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .scalars import ONE
+from .scalars import ONE, commutator_residual
 
 
 class GradedAlgebra:
@@ -204,19 +204,25 @@ def homomorphism_failure(g: GradedAlgebra, mats: list, gens):
     generating_set(g) proves the identity on all of g, and the witness is
     the first failing (s, j) of that scan, not the lexicographically first
     pair.  The shortcut cannot decide Jacobi itself, whose proof it uses;
-    check_axioms, where pi = ad and the Jacobiator is eps-alternating, reads
-    the structure constants instead (_jacobi_failure) and reports the
-    witness of the full scan.
-    """
+    check_axioms, where pi = ad, decides it on sorted triples instead
+    (_jacobi_failure) and reports the witness of the full scan.
+
+    A pair is decided by commutator_residual, an exact integer test of the
+    identity; only the first failing pair has its sides built, by lincomb
+    and graded_commutator, so verdict and witness are those of comparing
+    the two matrices of each pair in scan order."""
+    rows = [{r: row for r, row in enumerate(m.rows) if row} for m in mats]
+    den = lcm(*{v._d for m in rows for row in m.values() for v in row.values()})
     before = set()
     for s in gens:
         for j in range(g.dim):
             if j == s or j in before:
                 continue
-            rhs = graded_commutator(mats[s], mats[j], sign(g.degrees[s], g.degrees[j]))
-            lhs = lincomb(mats, g.bracket_basis(s, j), rhs.nrows)
-            if lhs != rhs:
-                return s, j, lhs, rhs
+            eps = sign(g.degrees[s], g.degrees[j])
+            coeffs = g.bracket_basis(s, j)
+            if commutator_residual(rows, s, j, eps._a, coeffs, den, mats[s].nrows) is not None:
+                rhs = graded_commutator(mats[s], mats[j], eps)
+                return s, j, lincomb(mats, coeffs, rhs.nrows), rhs
         before.add(s)
     return None
 
@@ -257,39 +263,23 @@ def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
     With sorted_triples, only k > j is visited.  Once the bracket is graded
     (closure), the Jacobiator is eps-alternating and vanishes on a repeated
     index (eps(a,a) = 1, [x,x] = 0), so the sorted triples decide it and the
-    first failing one is the same witness.  Each pair sums only the nonzero
-    terms of its Jacobiator, read off the nonzero brackets of e_i, e_j and
-    the e_m in [e_i,e_j], so a k where all three terms vanish is never
-    visited."""
+    first failing one is the same witness.
+
+    Each pair is the module check's test (commutator_residual) on the
+    transposes R_a = ad(e_a)^T, whose row k is [e_a,e_k]: row k of
+    R_j R_i - eps R_i R_j - sum_m [e_i,e_j]_m R_m is the Jacobiator at k,
+    so its least nonzero key k*n + l gives the least failing k."""
     n, degs = g.dim, g.degrees
-    rows = [{} for _ in range(n)]  # rows[a][k] = [e_a, e_k], nonzero only
-    for a, b in g.structure:
-        rows[a][b] = g.bracket_basis(a, b)
-        rows[b][a] = g.bracket_basis(b, a)
+    rows = [{} for _ in range(n)]  # rows[a][k] = [e_a, e_k], nonzero, k increasing
+    for a, b in sorted(g.structure):
+        rows[a][b], rows[b][a] = g.bracket_basis(a, b), g.bracket_basis(b, a)
+    den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
     for i in range(n):
-        ri = rows[i]
         for j in range(i + 1, n):
-            rj = rows[j]
-            lo = j + 1 if sorted_triples else 0
-            eps = sign(degs[i], degs[j])
-            jac = defaultdict(dict)  # k -> Jacobiator at (i, j, k)
-            for k, v in rj.items():  # [e_i,[e_j,e_k]]
-                if k >= lo:
-                    for m, c in v.items():
-                        if m in ri:
-                            vec_axpy(jac[k], c, ri[m])
-            for k, v in ri.items():  # -eps [e_j,[e_i,e_k]]
-                if k >= lo:
-                    for m, c in v.items():
-                        if m in rj:
-                            vec_axpy(jac[k], -eps * c, rj[m])
-            for m, c in ri.get(j, {}).items():  # -[[e_i,e_j],e_k]
-                for k, x in rows[m].items():
-                    if k >= lo:
-                        vec_axpy(jac[k], -c, x)
-            failing = [k for k, v in jac.items() if v]
-            if failing:
-                return i, j, min(failing)
+            key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a,
+                                      g.bracket_basis(i, j), den, n, j + 1 if sorted_triples else 0)
+            if key is not None:
+                return i, j, key // n
     return None
 
 
@@ -297,24 +287,17 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
     """Verify grading closure on all basis pairs (graded antisymmetry holds by
     construction, see AxiomReport), and graded Jacobi
     [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + eps(|e_i|,|e_j|) [e_j,[e_i,e_k]]
-    on basis triples, straight from the structure constants
-    (_jacobi_failure): on the sorted triples i < j < k when closure holds,
-    on all k otherwise.  This is "ad is a color representation"
-    (homomorphism_failure on g.ad_matrices(), gens = range(g.dim)) with the
-    same witness, without its n^3/2 column products.
+    on basis triples (_jacobi_failure): on the sorted triples i < j < k when
+    closure holds, on all k otherwise.  This is "ad is a color
+    representation" (homomorphism_failure on g.ad_matrices(), gens =
+    range(g.dim)), by the same per-pair test, with the same witness.
     Report the first witness per axiom; the Jacobi witness (i, j, k) is the
     first failing pair and its least failing k."""
-    report = AxiomReport()
     degs = g.degrees
-    # closure
-    for (i, j), coeffs in sorted(g.structure.items()):
-        target = degree_add(degs[i], degs[j])
-        for k in coeffs:
-            if degs[k] != target:
-                report.closure = ((i, j, k), degs[k], target)
-                break
-        if report.closure:
-            break
+    report = AxiomReport(closure=next(
+        (((i, j, k), degs[k], degree_add(degs[i], degs[j]))
+         for (i, j), coeffs in sorted(g.structure.items()) for k in coeffs
+         if degs[k] != degree_add(degs[i], degs[j])), None))
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
     failure = _jacobi_failure(g, sorted_triples=report.closure is None)
     if failure:

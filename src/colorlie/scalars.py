@@ -224,6 +224,63 @@ def addmul(y: dict, s: GQ, row: dict, rows: list) -> None:
             _axpy(y, c._a, c._b, c._d, rows[k])
 
 
+def commutator_residual(rows: list, a: int, b: int, eps: int, coeffs: dict,
+                        den: int, n: int, lo: int = 0):
+    """The least key r*n + c, r >= lo, where the Gaussian-integer matrix
+    R = f*(A_a A_b - eps A_b A_a) - den*f*sum_t coeffs[t] A_t is nonzero, or
+    None.  A_t = den*pi_t, whose nonzero rows rows[t] holds by increasing
+    index; den is a common denominator of all their entries, f that of
+    coeffs.  R = f*den^2*(pi_a pi_b - eps pi_b pi_a - sum_t coeffs[t] pi_t),
+    so a row of R vanishes exactly where the identity holds.  One fused
+    accumulation: both products row by row (Gustavson), then the sum, with
+    each entry's numerators read in place and scaled to den, into an int
+    dict of real and one of imaginary parts; no GQ is made."""
+    f = lcm(*(c._d for c in coeffs.values()))
+    re, im = {}, {}
+    reget, imget = re.get, im.get
+    for p, arows, brows in ((f, rows[a], rows[b]), (-eps * f, rows[b], rows[a])):
+        for r, row in reversed(arows.items()):
+            if r < lo:
+                break
+            base = r * n
+            for k, x in row.items():
+                brow = brows.get(k)
+                if brow is None:
+                    continue
+                pa, pb, d = p * x._a, p * x._b, x._d
+                if d != den:
+                    d = den // d
+                    pa, pb = pa * d, pb * d
+                for c, y in brow.items():
+                    ya, yb, d = y._a, y._b, y._d
+                    if d != den:
+                        d = den // d
+                        ya, yb = ya * d, yb * d
+                    if v := pa * ya - pb * yb:
+                        re[base + c] = reget(base + c, 0) + v
+                    if v := pa * yb + pb * ya:
+                        im[base + c] = imget(base + c, 0) + v
+    for t, x in coeffs.items():
+        d = den * (f // x._d)
+        pa, pb = -d * x._a, -d * x._b
+        for r, row in reversed(rows[t].items()):
+            if r < lo:
+                break
+            base = r * n
+            for c, y in row.items():
+                ya, yb, d = y._a, y._b, y._d
+                if d != den:
+                    d = den // d
+                    ya, yb = ya * d, yb * d
+                if v := pa * ya - pb * yb:
+                    re[base + c] = reget(base + c, 0) + v
+                if v := pa * yb + pb * ya:
+                    im[base + c] = imget(base + c, 0) + v
+    if any(re.values()) or any(im.values()):
+        return min(key for acc in (re, im) for key, v in acc.items() if v)
+    return None
+
+
 def _coerce(x) -> GQ:
     if isinstance(x, GQ):
         return x

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from colorlie.algebra import from_matrices
@@ -8,8 +10,10 @@ from colorlie.families import (
     so_cartan_hint,
     so_pqrs,
 )
-from colorlie.linalg import unit_vec
+from colorlie.grading import sign
+from colorlie.linalg import graded_commutator, lincomb, unit_vec
 from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
+from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
 # ---------------------------------------------------------------------------
 # acceptance-criterion reporting: one line per criterion in the terminal
@@ -109,6 +113,41 @@ def tensor4222(defn4222):
     from colorlie.reps import tensor_product
 
     return tensor_product(defn4222, defn4222)
+
+
+# the diagonal change of basis D of rescaled4222
+RESCALE = [GQ(2), GQ(Fraction(1, 3)), GQ(1, 1), GQ(Fraction(-1, 2)), GQ(3),
+           ONE, GQ(1, -1), GQ(Fraction(2, 5)), MINUS_ONE, I]
+
+
+@pytest.fixture(scope="session")
+def rescaled4222(defn4222):
+    """D^-1 pi(x) D for the defining module pi: entries with denominators
+    other than 1, and the same grading, since D is diagonal."""
+    from colorlie.linalg import SMat
+    from colorlie.reps import Representation
+
+    mats = [SMat(m.nrows, m.ncols, [{c: v * RESCALE[c] / RESCALE[r] for c, v in row.items()}
+                                    for r, row in enumerate(m.rows)])
+            for m in defn4222.matrices]
+    return Representation(defn4222.algebra, defn4222.dim, mats, grading=defn4222.grading)
+
+
+def reference_homomorphism_failure(g, mats, gens):
+    """homomorphism_failure as two matrices compared: for each pair of its
+    scan, pi([e_s,e_j]) by lincomb against the eps-commutator by
+    graded_commutator; the first pair where they differ, with both."""
+    before = set()
+    for s in gens:
+        for j in range(g.dim):
+            if j == s or j in before:
+                continue
+            rhs = graded_commutator(mats[s], mats[j], sign(g.degrees[s], g.degrees[j]))
+            lhs = lincomb(mats, g.bracket_basis(s, j), rhs.nrows)
+            if lhs != rhs:
+                return s, j, lhs, rhs
+        before.add(s)
+    return None
 
 
 @pytest.fixture(scope="session")

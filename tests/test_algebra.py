@@ -1,7 +1,9 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import pytest
+from conftest import reference_homomorphism_failure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,9 +111,11 @@ def _least_differing_column(lhs: SMat, rhs: SMat) -> int:
 
 
 def _pair_scan_witness(g):
-    """The Jacobi witness of the module check on ad: the first failing pair
-    and its least differing column, or None."""
-    failure = homomorphism_failure(g, g.ad_matrices(), range(g.dim))
+    """The Jacobi witness of the module check on ad, as the reference that
+    compares two matrices per pair finds it: the first failing pair and its
+    least differing column, or None."""
+    failure = reference_homomorphism_failure(g, g.ad_matrices(), range(g.dim))
+    assert homomorphism_failure(g, g.ad_matrices(), range(g.dim)) == failure
     if failure is None:
         return None
     i, j, lhs, rhs = failure
@@ -128,12 +132,19 @@ def _so(params):
 def test_jacobi_witness_matches_pair_scan(data):
     """One structure constant changed: by +-1 on its real part, by +-i, or set
     in a zero slot (i, j) at a k of the degree closure allows, or of another
-    degree.  The triple scan of check_axioms reports the witness of the
+    degree; before that, optionally, basis vector e_a rescaled by 1, 1/2, 3 or
+    1+i as a % 4, so the constants have denominators 2 to 12 and complex
+    values.  The triple scan of check_axioms reports the witness of the
     module check on ad."""
     g = _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)])))
     kind = data.draw(st.sampled_from(["real", "imaginary", "new", "off-degree"]))
     degs = g.degrees
-    structure = {key: dict(v) for key, v in g.structure.items()}
+    scale = [(ONE, GQ(Fraction(1, 2)), GQ(3), GQ(1, 1))[a % 4] for a in range(g.dim)]
+    if not data.draw(st.booleans()):
+        scale = [ONE] * g.dim
+    # [x_i, x_j] = sum_k c_ij^k s_i s_j / s_k x_k for x_a = s_a e_a
+    structure = {(i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in v.items()}
+                 for (i, j), v in g.structure.items()}
     if kind in ("real", "imaginary"):
         i, j = data.draw(st.sampled_from(sorted(structure)))
         k = data.draw(st.sampled_from(sorted(structure[(i, j)])))

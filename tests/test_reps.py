@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import reference_homomorphism_failure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorlie.algebra import GradedAlgebra, homomorphism_failure
+from colorlie.algebra import GradedAlgebra, generating_set, homomorphism_failure
 from colorlie.errors import (
     CertificateFailed,
     DimensionMismatch,
@@ -131,6 +132,45 @@ def test_generator_scan_verdict_matches_full_scan(defn4222, tensor4222, g4211,
     assert (report.witness is None) == (full is None)
     if report.witness is not None:
         assert _pair_fails(g, mats, *report.witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_homomorphism_failure_matches_reference(defn4222, tensor4222, rescaled4222,
+                                                g4211, fx4211, data):
+    """The perturbations of test_generator_scan_verdict_matches_full_scan, also
+    by 1/2, on modules with integer entries and on the rescaled defining
+    module, whose entries have denominators up to 15, or no perturbation:
+    homomorphism_failure returns the verdict and witness of the reference
+    that compares the two matrices of each pair, on the generator scan and
+    on the full scan."""
+    rep = data.draw(st.sampled_from([
+        defn4222, tensor4222, rescaled4222,
+        defining_representation(g4211, fx4211.realization)]))
+    g = rep.algebra
+    k = data.draw(st.integers(0, g.dim - 1))
+    mats = list(rep.matrices)
+    m = mats[k] = mats[k].copy()
+    kind = data.draw(st.sampled_from(["none", "real", "imaginary", "half", "new"]))
+    if kind == "new":
+        r = data.draw(st.integers(0, rep.dim - 1))
+        c = data.draw(st.sampled_from([c for c in range(rep.dim) if c not in m.rows[r]]))
+        m.rows[r][c] = data.draw(st.sampled_from([ONE, MINUS_ONE]))
+    elif kind != "none":
+        r, c = data.draw(st.sampled_from(
+            [(r, c) for r, row in enumerate(m.rows) for c in sorted(row)]))
+        units = {"real": [ONE, MINUS_ONE], "imaginary": [I, -I],
+                 "half": [GQ(Fraction(1, 2)), GQ(Fraction(-1, 2))]}[kind]
+        m.rows[r][c] = m.rows[r][c] + data.draw(st.sampled_from(units))
+        if not m.rows[r][c]:
+            del m.rows[r][c]
+    for gens in (generating_set(g), range(g.dim)):
+        assert homomorphism_failure(g, mats, gens) == reference_homomorphism_failure(
+            g, mats, gens)
+
+
+def test_rescaled_defining_is_representation(rescaled4222):
+    assert is_representation(rescaled4222).ok
 
 
 def test_trivial_rep(g4222, rs4222):
