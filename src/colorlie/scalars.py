@@ -268,10 +268,8 @@ def commutator_residual(rows: list, a: int, b: int, eps: int, coeffs: dict,
                 break
             base = r * n
             for c, y in row.items():
-                ya, yb, d = y._a, y._b, y._d
-                if d != den:
-                    d = den // d
-                    ya, yb = ya * d, yb * d
+                d = den // y._d
+                ya, yb = y._a * d, y._b * d
                 if v := pa * ya - pb * yb:
                     re[base + c] = reget(base + c, 0) + v
                 if v := pa * yb + pb * ya:
