@@ -272,7 +272,8 @@ def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
     n, degs = g.dim, g.degrees
     rows = [{} for _ in range(n)]  # rows[a][k] = [e_a, e_k], nonzero, k increasing
     for a, b in sorted(g.structure):
-        rows[a][b], rows[b][a] = g.bracket_basis(a, b), g.bracket_basis(b, a)
+        rows[a][b] = g.bracket_basis(a, b)
+        rows[b][a] = g.bracket_basis(b, a)
     den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
     for i in range(n):
         for j in range(i + 1, n):
@@ -287,17 +288,20 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
     """Verify grading closure on all basis pairs (graded antisymmetry holds by
     construction, see AxiomReport), and graded Jacobi
     [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + eps(|e_i|,|e_j|) [e_j,[e_i,e_k]]
-    on basis triples (_jacobi_failure): on the sorted triples i < j < k when
-    closure holds, on all k otherwise.  This is "ad is a color
-    representation" (homomorphism_failure on g.ad_matrices(), gens =
-    range(g.dim)), by the same per-pair test, with the same witness.
+    on basis triples, "ad is a color representation" (_jacobi_failure).
     Report the first witness per axiom; the Jacobi witness (i, j, k) is the
     first failing pair and its least failing k."""
+    report = AxiomReport()
     degs = g.degrees
-    report = AxiomReport(closure=next(
-        (((i, j, k), degs[k], degree_add(degs[i], degs[j]))
-         for (i, j), coeffs in sorted(g.structure.items()) for k in coeffs
-         if degs[k] != degree_add(degs[i], degs[j])), None))
+    # closure
+    for (i, j), coeffs in sorted(g.structure.items()):
+        target = degree_add(degs[i], degs[j])
+        for k in coeffs:
+            if degs[k] != target:
+                report.closure = ((i, j, k), degs[k], target)
+                break
+        if report.closure:
+            break
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
     failure = _jacobi_failure(g, sorted_triples=report.closure is None)
     if failure:

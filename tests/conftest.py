@@ -115,22 +115,26 @@ def tensor4222(defn4222):
     return tensor_product(defn4222, defn4222)
 
 
-# the diagonal change of basis D of rescaled4222
+# a diagonal change of basis D of a 10-dimensional module
 RESCALE = [GQ(2), GQ(Fraction(1, 3)), GQ(1, 1), GQ(Fraction(-1, 2)), GQ(3),
            ONE, GQ(1, -1), GQ(Fraction(2, 5)), MINUS_ONE, I]
 
 
-@pytest.fixture(scope="session")
-def rescaled4222(defn4222):
-    """D^-1 pi(x) D for the defining module pi: entries with denominators
-    other than 1, and the same grading, since D is diagonal."""
+def rescaled(rep):
+    """D^-1 pi(x) D for the module pi: entries with denominators other than
+    1, and the same grading, since D is diagonal."""
     from colorlie.linalg import SMat
     from colorlie.reps import Representation
 
     mats = [SMat(m.nrows, m.ncols, [{c: v * RESCALE[c] / RESCALE[r] for c, v in row.items()}
                                     for r, row in enumerate(m.rows)])
-            for m in defn4222.matrices]
-    return Representation(defn4222.algebra, defn4222.dim, mats, grading=defn4222.grading)
+            for m in rep.matrices]
+    return Representation(rep.algebra, rep.dim, mats, grading=rep.grading)
+
+
+@pytest.fixture(scope="session")
+def rescaled4222(defn4222):
+    return rescaled(defn4222)
 
 
 def reference_homomorphism_failure(g, mats, gens):

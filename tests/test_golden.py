@@ -22,19 +22,19 @@ worked basis, and on the re-based defining module.
 """
 import json
 import os
-from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import rescaled
 
 from colorlie import serialize
 from colorlie.algebra import MatrixRealization, direct_sum, from_matrices
 from colorlie.cli import main
 from colorlie.families import SoParams, so_cartan_hint, so_pqrs
 from colorlie.linalg import lincomb
-from colorlie.scalars import GQ, MINUS_ONE, ONE
+from colorlie.scalars import MINUS_ONE, ONE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,23 +101,6 @@ def rebased_defining(rep):
     return Representation(rep.algebra, rep.dim, [pinv @ m @ p for m in rep.matrices])
 
 
-# The diagonal change of basis D of the rescaled module, which is
-# D^-1 pi(x) D with the grading of the defining module.
-RESCALE_DEFINING = [GQ(2), GQ(Fraction(1, 3)), GQ(1, 1), GQ(Fraction(-1, 2)), GQ(3),
-                    ONE, GQ(1, -1), GQ(Fraction(2, 5)), MINUS_ONE, GQ(0, 1)]
-
-
-def rescaled_defining(rep):
-    from colorlie.linalg import SMat
-    from colorlie.reps import Representation
-
-    d = RESCALE_DEFINING
-    mats = [SMat(rep.dim, rep.dim, [{c: v * d[c] / d[r] for c, v in row.items()}
-                                    for r, row in enumerate(m.rows)])
-            for m in rep.matrices]
-    return Representation(rep.algebra, rep.dim, mats, grading=rep.grading)
-
-
 def test_module_inputs():
     """The committed module inputs are what the library writes for the
     defining representation, that file with matrices 5 and 6 swapped, the
@@ -133,7 +116,7 @@ def test_module_inputs():
     assert (json.dumps(doc) + "\n").encode() == SWAPPED.read_bytes()
     doc = serialize.representation_to_json(rebased_defining(defining), "so4222")
     assert (json.dumps(doc) + "\n").encode() == REBASED.read_bytes()
-    doc = serialize.representation_to_json(rescaled_defining(defining), "so4222")
+    doc = serialize.representation_to_json(rescaled(defining), "so4222")
     assert (json.dumps(doc) + "\n").encode() == RESCALED.read_bytes()
 
 

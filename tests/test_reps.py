@@ -169,10 +169,6 @@ def test_homomorphism_failure_matches_reference(defn4222, tensor4222, rescaled42
             g, mats, gens)
 
 
-def test_rescaled_defining_is_representation(rescaled4222):
-    assert is_representation(rescaled4222).ok
-
-
 def test_trivial_rep(g4222, rs4222):
     triv = trivial_representation(g4222)
     assert is_representation(triv).ok
