@@ -277,8 +277,8 @@ def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
     den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
     for i in range(n):
         for j in range(i + 1, n):
-            key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a,
-                                      g.bracket_basis(i, j), den, n, j + 1 if sorted_triples else 0)
+            key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a, g.bracket_basis(i, j),
+                                      den, n, j + 1 if sorted_triples else 0)
             if key is not None:
                 return i, j, key // n
     return None
@@ -288,7 +288,12 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
     """Verify grading closure on all basis pairs (graded antisymmetry holds by
     construction, see AxiomReport), and graded Jacobi
     [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + eps(|e_i|,|e_j|) [e_j,[e_i,e_k]]
-    on basis triples, "ad is a color representation" (_jacobi_failure).
+    on basis triples, straight from the structure constants
+    (_jacobi_failure): on the sorted triples i < j < k when closure holds,
+    on all k otherwise.  This is "ad is a color representation"
+    (homomorphism_failure on g.ad_matrices(), gens = range(g.dim)), decided
+    by the same per-pair test on the transposed matrices, with the same
+    witness.
     Report the first witness per axiom; the Jacobi witness (i, j, k) is the
     first failing pair and its least failing k."""
     report = AxiomReport()

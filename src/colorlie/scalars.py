@@ -235,7 +235,7 @@ def commutator_residual(rows: list, a: int, b: int, eps: int, coeffs: dict,
     accumulation: both products row by row (Gustavson), then the sum, with
     each entry's numerators read in place and scaled to den, into an int
     dict of real and one of imaginary parts; no GQ is made."""
-    f = lcm(*(c._d for c in coeffs.values()))
+    f = lcm(*[c._d for c in coeffs.values()])  # not *generator: it fills tuple free lists
     re, im = {}, {}
     reget, imget = re.get, im.get
     for p, arows, brows in ((f, rows[a], rows[b]), (-eps * f, rows[b], rows[a])):
