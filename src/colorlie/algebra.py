@@ -20,6 +20,7 @@ from .grading import (
 from .linalg import (
     SMat,
     SubspaceBasis,
+    combine,
     graded_commutator,
     kernel_basis,
     lincomb,
@@ -138,6 +139,7 @@ class AxiomReport:
 
     closure: tuple | None = None
     jacobi: tuple | None = None
+    generators: list | None = None  # generating_set's frames, when ok
 
     @property
     def ok(self) -> bool:
@@ -183,29 +185,33 @@ class MatrixRealization:
         return next(iter(degs)) if degs else ZERO_DEGREE
 
 
-def homomorphism_failure(g: GradedAlgebra, mats: list, gens):
-    """First basis pair (s, j), s in gens, where
-    pi([e_s,e_j]) != pi(e_s)pi(e_j) - eps(|e_s|,|e_j|) pi(e_j)pi(e_s),
-    as (s, j, lhs, rhs), or None when every such pair holds.
+def pair_scan(gens, n: int) -> list:
+    """The scan over gens as [(s, partners)]: every j < n but s and the gens
+    before s.  Graded antisymmetry, which GradedAlgebra enforces, makes
+    (s, j) and (j, s) one identity in both checks below, and s = j holds in
+    both (eps(a,a) = 1, [e_s,e_s] = 0).  pair_scan(range(n), n) is every pair
+    i < j in lexicographic order."""
+    return [(s, [j for j in range(n) if j != s and j not in gens[:k]])
+            for k, s in enumerate(gens)]
 
-    The scan takes s in the order of gens and, for each, every j != s, but
-    skips j when j is in gens before s: graded antisymmetry, which
-    GradedAlgebra enforces, makes (s, j) and (j, s) the same identity, and
-    the pair s = j holds for any matrices, since [e_s,e_s] = 0 and
-    eps(a,a) = 1.  With gens = range(g.dim) this is every pair i < j in
-    lexicographic order, and a None proves mats a color homomorphism.
 
-    When g satisfies its axioms (check_axioms), generators suffice.  The
-    homogeneous y with pi[y,x] = [pi y, pi x]_eps for every x form a graded
-    subalgebra L: by Jacobi in g and the eps-Jacobi identity of
+def homomorphism_failure(g: GradedAlgebra, mats: list, scan):
+    """First pair (s, j) of scan, a list of (s, partners) taken in order,
+    where pi([e_s,e_j]) != pi(e_s)pi(e_j) - eps(|e_s|,|e_j|) pi(e_j)pi(e_s),
+    as (s, j, lhs, rhs), or None when every listed pair holds.  On
+    pair_scan(range(g.dim), g.dim) a None proves mats a color homomorphism.
+
+    When g satisfies its axioms, the frames (s_k, C_{k-1}) of generating_set
+    suffice.  The homogeneous y with pi[y,x] = [pi y, pi x]_eps for every x
+    form a graded subalgebra L: by Jacobi in g and the eps-Jacobi identity of
     eps-commutators of matrices, y, z in L give
     pi[[y,z],x] = [pi y, pi[z,x]]_eps - eps(y,z) [pi z, pi[y,x]]_eps
-    = [[pi y, pi z]_eps, pi x]_eps = [pi[y,z], pi x]_eps.  So gens =
-    generating_set(g) proves the identity on all of g, and the witness is
-    the first failing (s, j) of that scan, not the lexicographically first
-    pair.  The shortcut cannot decide Jacobi itself, whose proof it uses;
-    check_axioms, where pi = ad, decides it on sorted triples instead
-    (_jacobi_failure) and reports the witness of the full scan.
+    = [[pi y, pi z]_eps, pi x]_eps = [pi[y,z], pi x]_eps.  Once s_1..s_{k-1}
+    pass, L contains their closure L_{k-1}, so (s_k, y) holds for y in
+    L_{k-1} by antisymmetry; x -> pi[s_k,x] - [pi s_k, pi x]_eps is linear,
+    so it vanishes once it does on the e_c, c in C_{k-1}, which span a
+    complement of L_{k-1}.  The same argument decides Jacobi itself, for
+    pi = ad, without Jacobi in g (see check_axioms).
 
     A pair is decided by commutator_residual, an exact integer test of the
     identity; only the first failing pair has its sides built, by lincomb
@@ -213,70 +219,77 @@ def homomorphism_failure(g: GradedAlgebra, mats: list, gens):
     the two matrices of each pair in scan order."""
     rows = [{r: row for r, row in enumerate(m.rows) if row} for m in mats]
     den = lcm(*{v._d for m in rows for row in m.values() for v in row.values()})
-    before = set()
-    for s in gens:
-        for j in range(g.dim):
-            if j == s or j in before:
-                continue
+    for s, partners in scan:
+        for j in partners:
             eps = sign(g.degrees[s], g.degrees[j])
             coeffs = g.bracket_basis(s, j)
             if commutator_residual(rows, s, j, eps._a, coeffs, den, mats[s].nrows) is not None:
                 rhs = graded_commutator(mats[s], mats[j], eps)
                 return s, j, lincomb(mats, coeffs, rhs.nrows), rhs
-        before.add(s)
     return None
 
 
-def generating_set(g: GradedAlgebra) -> list:
-    """Basis indices S whose bracket closure is all of g, chosen greedily.
+def bracket_rows(g: GradedAlgebra) -> list:
+    """The transposed ad matrices: rows[a][k] = [e_a, e_k], nonzero ones
+    only, in increasing k."""
+    rows = [{} for _ in range(g.dim)]
+    for a, b in sorted(g.structure):
+        rows[a][b] = g.bracket_basis(a, b)
+        rows[b][a] = g.bracket_basis(b, a)
+    return rows
 
-    The candidates are the basis vectors of degree != (0,0) in index order,
-    then those of degree (0,0); e_i is taken when it lies outside the
-    closure of the indices taken so far.  The closure is kept incrementally:
-    a new ad(s) is applied to the vectors already spanned, and every ad(s),
-    s in S, to each new vector.  Raises CertificateFailed unless the closure
-    of S reaches dim g."""
-    ads = g.ad_matrices()
+
+def generating_set(g: GradedAlgebra, rows: list) -> list:
+    """Frames [(s_k, C_{k-1})]: basis indices s_1..s_m whose bracket closure
+    is g, chosen greedily, each with C_{k-1}, the indices but s_k that are no
+    pivot of the reduced echelon basis of the closure L_{k-1} of s_1..s_{k-1};
+    rows is bracket_rows(g).  The candidates are the basis vectors of degree
+    != (0,0) in index order, then those of degree (0,0); e_i is taken when it
+    lies outside the closure so far, kept incrementally: a new ad(s) is
+    applied to the vectors already spanned, and every ad(s), s in S, to each
+    new vector.  The closure lies in the subalgebra S generates, Jacobi or
+    not, so reaching dim g (else CertificateFailed) proves that S generates
+    g.  For a graded bracket the echelon rows are homogeneous, so the e_c,
+    c in C_{k-1}, span a graded complement of L_{k-1}."""
+
+    def ad(s, v):  # [e_s, v]
+        return combine(rows[s], {k: c for k, c in v.items() if k in rows[s]})
+
     order = sorted(range(g.dim), key=lambda i: g.degrees[i] == ZERO_DEGREE)
-    gens, span = [], SubspaceBasis()
+    frames, span = [], SubspaceBasis()
     for i in order:
         if span.contains(unit_vec(i)):
             continue
-        gens.append(i)
-        frontier = [unit_vec(i)] + [ads[i].matvec(v) for v in span.inserted]
+        frames.append((i, [c for c in range(g.dim) if c != i and c not in span.pivots]))
+        frontier = [unit_vec(i)] + [ad(i, v) for v in span.inserted]
         while frontier:
             new = [v for v in frontier if span.add(v)]
-            frontier = [ads[s].matvec(v) for v in new for s in gens]
+            frontier = [ad(s, v) for v in new for s, _ in frames]
     if span.dim != g.dim:
-        raise CertificateFailed(
-            f"generators {gens} close up to dimension {span.dim}, not {g.dim}")
-    return gens
+        raise CertificateFailed(f"generators {[s for s, _ in frames]} close up to "
+                                f"dimension {span.dim}, not {g.dim}")
+    return frames
 
 
-def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
-    """First (i, j, k) with i < j, in lexicographic order, where
+def _jacobi_failure(g: GradedAlgebra, rows: list, scan, sorted_triples: bool):
+    """First (i, j, k), (i, j) a pair of scan (see homomorphism_failure) and
+    k its least failing row, where
     [e_i,[e_j,e_k]] - eps(|e_i|,|e_j|) [e_j,[e_i,e_k]] != [[e_i,e_j],e_k],
-    or None.  Column k of homomorphism_failure for pi = ad is this identity,
-    so over all k the first hit is the full scan's (gens = range(g.dim))
-    first failing pair and its least differing column.
-
-    With sorted_triples, only k > j is visited.  Once the bracket is graded
+    or None; rows is bracket_rows(g).  This is column k of
+    homomorphism_failure for pi = ad, so on pair_scan(range(g.dim), g.dim)
+    the hit is that scan's first failing pair and its least differing column.
+    With sorted_triples, only k > j is visited: once the bracket is graded
     (closure), the Jacobiator is eps-alternating and vanishes on a repeated
     index (eps(a,a) = 1, [x,x] = 0), so the sorted triples decide it and the
     first failing one is the same witness.
 
-    Each pair is the module check's test (commutator_residual) on the
-    transposes R_a = ad(e_a)^T, whose row k is [e_a,e_k]: row k of
-    R_j R_i - eps R_i R_j - sum_m [e_i,e_j]_m R_m is the Jacobiator at k,
-    so its least nonzero key k*n + l gives the least failing k."""
+    Each pair is commutator_residual on the transposes R_a = ad(e_a)^T, whose
+    row k is [e_a,e_k]: row k of R_j R_i - eps R_i R_j - sum_m [e_i,e_j]_m R_m
+    is the Jacobiator at k, so its least nonzero key k*n + l gives k."""
     n, degs = g.dim, g.degrees
-    rows = [{} for _ in range(n)]  # rows[a][k] = [e_a, e_k], nonzero, k increasing
-    for a, b in sorted(g.structure):
-        rows[a][b] = g.bracket_basis(a, b)
-        rows[b][a] = g.bracket_basis(b, a)
     den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i, partners in scan:
+        for j in partners:
             key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a, g.bracket_basis(i, j),
                                       den, n, j + 1 if sorted_triples else 0)
             if key is not None:
@@ -287,15 +300,19 @@ def _jacobi_failure(g: GradedAlgebra, sorted_triples: bool):
 def check_axioms(g: GradedAlgebra) -> AxiomReport:
     """Verify grading closure on all basis pairs (graded antisymmetry holds by
     construction, see AxiomReport), and graded Jacobi
-    [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + eps(|e_i|,|e_j|) [e_j,[e_i,e_k]]
-    on basis triples, straight from the structure constants
-    (_jacobi_failure): on the sorted triples i < j < k when closure holds,
-    on all k otherwise.  This is "ad is a color representation"
-    (homomorphism_failure on g.ad_matrices(), gens = range(g.dim)), decided
-    by the same per-pair test on the transposed matrices, with the same
-    witness.
-    Report the first witness per axiom; the Jacobi witness (i, j, k) is the
-    first failing pair and its least failing k."""
+    [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + eps(|e_i|,|e_j|) [e_j,[e_i,e_k]],
+    which is "ad is a color representation" (_jacobi_failure).
+
+    With closure, Jacobi is decided on generating_set's frames, rows k > j
+    of each (s_k, j), and the frames go on the report.  The x with
+    J(x,.,.) = 0, ad x an eps-derivation, form a graded subalgebra before
+    Jacobi is known: J(x,y,.) = 0 says ad[x,y] = [ad x, ad y]_eps, and the
+    eps-commutator of two eps-derivations is one (Scheunert, J. Math. Phys.
+    20 (1979) 712).  J is eps-alternating, so once s_1..s_{k-1} pass,
+    J(s_k,y,z) = 0 for y or z in their closure, and C_{k-1} spans a
+    complement.  A failure is named by the scan of every pair, on the sorted
+    triples with closure and on all k without: the first witness per axiom,
+    for Jacobi (i, j, k) the first failing pair and its least failing k."""
     report = AxiomReport()
     degs = g.degrees
     # closure
@@ -308,7 +325,13 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
         if report.closure:
             break
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
-    failure = _jacobi_failure(g, sorted_triples=report.closure is None)
+    rows = bracket_rows(g)
+    if report.closure is None:
+        frames = generating_set(g, rows)
+        if _jacobi_failure(g, rows, frames, True) is None:
+            report.generators = frames
+            return report
+    failure = _jacobi_failure(g, rows, pair_scan(range(g.dim), g.dim), report.closure is None)
     if failure:
         i, j, k = failure
         lhs = g.bracket(unit_vec(i), g.bracket_basis(j, k))

@@ -16,9 +16,9 @@ from .algebra import (
     GradedAlgebra,
     MatrixRealization,
     check_axioms,
-    generating_set,
     homomorphism_failure,
     killing_form,
+    pair_scan,
 )
 from .errors import (
     CertificateFailed,
@@ -108,17 +108,22 @@ def is_representation(rep: Representation) -> RepReport:
     """Verify the color-homomorphism identity, and the graded-module
     condition when a grading is present.
 
-    When check_axioms(g) passes, the identity is checked on the pairs
-    (s, e_j) for s in generating_set(g) only: the elements where it holds
-    for every x form a graded subalgebra (see homomorphism_failure), so
-    generators decide it.  generating_set takes the basis vectors of degree
-    != (0,0) in index order, then those of degree (0,0), and certifies that
-    their bracket closure is g.  The witness is then the first failing
-    (s, j) of that generator scan.  On an algebra that fails its axioms every
-    pair i < j is checked and the witness is the lexicographically first."""
-    g = rep.algebra
-    gens = generating_set(g) if check_axioms(g).ok else range(g.dim)
-    witness = homomorphism_failure(g, rep.matrices, gens)
+    When check_axioms(g) passes, the identity is checked on the frames
+    (s_k, C_{k-1}) it returns from generating_set, which takes the basis
+    vectors of degree != (0,0) in index order, then those of degree (0,0),
+    and certifies that their bracket closure is g: the pairs (s_k, e_j) with
+    j no pivot of the closure of s_1..s_{k-1} (see homomorphism_failure).
+    A failing generator is scanned again over its partners in pair_scan, so
+    the witness is the first failing (s, j) of the scan over every j but the
+    generators before s.  On an algebra that fails its axioms every pair
+    i < j is checked and the witness is the first."""
+    g, mats = rep.algebra, rep.matrices
+    frames = check_axioms(g).generators
+    if frames is None:
+        witness = homomorphism_failure(g, mats, pair_scan(range(g.dim), g.dim))
+    elif witness := homomorphism_failure(g, mats, frames):
+        scan = pair_scan([s for s, _ in frames], g.dim)
+        witness = homomorphism_failure(g, mats, [p for p in scan if p[0] == witness[0]])
     grading_witness = None
     if rep.grading is not None:
         grading_witness = next(

@@ -137,20 +137,17 @@ def rescaled4222(defn4222):
     return rescaled(defn4222)
 
 
-def reference_homomorphism_failure(g, mats, gens):
-    """homomorphism_failure as two matrices compared: for each pair of its
-    scan, pi([e_s,e_j]) by lincomb against the eps-commutator by
-    graded_commutator; the first pair where they differ, with both."""
-    before = set()
-    for s in gens:
-        for j in range(g.dim):
-            if j == s or j in before:
-                continue
+def reference_homomorphism_failure(g, mats, scan):
+    """homomorphism_failure as two matrices compared: for each pair (s, j) of
+    scan, a list of (s, partners), pi([e_s,e_j]) by lincomb against the
+    eps-commutator by graded_commutator; the first pair where they differ,
+    with both."""
+    for s, partners in scan:
+        for j in partners:
             rhs = graded_commutator(mats[s], mats[j], sign(g.degrees[s], g.degrees[j]))
             lhs = lincomb(mats, g.bracket_basis(s, j), rhs.nrows)
             if lhs != rhs:
                 return s, j, lhs, rhs
-        before.add(s)
     return None
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from colorlie.algebra import (
     GradedAlgebra,
+    _jacobi_failure,
+    bracket_rows,
     check_axioms,
     direct_sum,
     from_matrices,
@@ -18,10 +20,11 @@ from colorlie.algebra import (
     is_basic,
     killing_form,
     killing_radical,
+    pair_scan,
 )
 from colorlie.errors import CertificateFailed, DimensionMismatch, NotClosed
 from colorlie.families import SoParams, so_pqrs
-from colorlie.grading import degree_add, sign
+from colorlie.grading import DEGREES, degree_add, sign
 from colorlie.linalg import SMat, SubspaceBasis, unit_vec
 from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
@@ -114,12 +117,17 @@ def _pair_scan_witness(g):
     """The Jacobi witness of the module check on ad, as the reference that
     compares two matrices per pair finds it: the first failing pair and its
     least differing column, or None."""
-    failure = reference_homomorphism_failure(g, g.ad_matrices(), range(g.dim))
-    assert homomorphism_failure(g, g.ad_matrices(), range(g.dim)) == failure
+    scan = pair_scan(range(g.dim), g.dim)
+    failure = reference_homomorphism_failure(g, g.ad_matrices(), scan)
+    assert homomorphism_failure(g, g.ad_matrices(), scan) == failure
     if failure is None:
         return None
     i, j, lhs, rhs = failure
     return i, j, _least_differing_column(lhs, rhs)
+
+
+def _gens(g):
+    return [s for s, _ in generating_set(g, bracket_rows(g))]
 
 
 @lru_cache(maxsize=None)
@@ -127,17 +135,41 @@ def _so(params):
     return from_matrices(so_pqrs(SoParams(*params)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_jacobi_witness_matches_pair_scan(data):
-    """One structure constant changed: by +-1 on its real part, by +-i, or set
-    in a zero slot (i, j) at a k of the degree closure allows, or of another
-    degree; before that, optionally, basis vector e_a rescaled by 1, 1/2, 3 or
-    1+i as a % 4, so the constants have denominators 2 to 12 and complex
-    values.  The triple scan of check_axioms reports the witness of the
-    module check on ad."""
-    g = _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)])))
-    kind = data.draw(st.sampled_from(["real", "imaginary", "new", "off-degree"]))
+def _subalgebra(g, gens):
+    """The subalgebra generated by the e_s, s in gens: brackets of every pair
+    of spanned vectors until the span stops growing."""
+    sb = SubspaceBasis()
+    frontier = [unit_vec(s) for s in gens]
+    while frontier:
+        new = [v for v in frontier if sb.add(v)]
+        frontier = [g.bracket(x, y) for x in new for y in sb.inserted]
+    return sb
+
+
+def _subalgebra_dim(g, gens):
+    return _subalgebra(g, gens).dim
+
+
+@lru_cache(maxsize=None)
+def _late_complements(g):
+    """For each generator s_k of the later half of generating_set(g), the
+    indices other than s_k that are no pivot of the subalgebra generated by
+    s_1..s_{k-1}, computed here from brackets."""
+    gens = _gens(g)
+    spans = [_subalgebra(g, gens[:k]) for k in range(len(gens) // 2, len(gens))]
+    return [[c for c in range(g.dim) if c != s and c not in sb.pivots]
+            for s, sb in zip(gens[len(gens) // 2:], spans)]
+
+
+def _perturbed(data, g, kind):
+    """g with one structure constant changed: by +-1 on its real part, by +-i,
+    or set in a zero slot (i, j) at a k of the degree closure allows ("new"),
+    or of another degree ("off-degree"); for "late", the bracket [e_i, e_j]
+    changed so (by +-1 or a new entry), for i < j in the complement C_{k-1}
+    of a generator s_k of the later half of generating_set (computed from
+    brackets, see _late_complements).  Before that, optionally, basis vector
+    e_a rescaled by 1, 1/2, 3 or 1+i as a % 4, so the constants have
+    denominators 2 to 12 and complex values (the frames do not change)."""
     degs = g.degrees
     scale = [(ONE, GQ(Fraction(1, 2)), GQ(3), GQ(1, 1))[a % 4] for a in range(g.dim)]
     if not data.draw(st.booleans()):
@@ -145,23 +177,80 @@ def test_jacobi_witness_matches_pair_scan(data):
     # [x_i, x_j] = sum_k c_ij^k s_i s_j / s_k x_k for x_a = s_a e_a
     structure = {(i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in v.items()}
                  for (i, j), v in g.structure.items()}
-    if kind in ("real", "imaginary"):
+    if kind == "late":
+        comp = data.draw(st.sampled_from(_late_complements(g)))
+        i, j = sorted(data.draw(st.lists(st.sampled_from(comp), min_size=2, max_size=2,
+                                         unique=True)))
+        kind = "real" if (i, j) in structure else "new"
+    elif kind in ("real", "imaginary"):
         i, j = data.draw(st.sampled_from(sorted(structure)))
-        k = data.draw(st.sampled_from(sorted(structure[(i, j)])))
-        units = [ONE, MINUS_ONE] if kind == "real" else [I, -I]
-        structure[(i, j)][k] = structure[(i, j)][k] + data.draw(st.sampled_from(units))
     else:
         i, j = data.draw(st.sampled_from([
             (i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
             if (i, j) not in structure]))
+    if kind in ("real", "imaginary"):
+        k = data.draw(st.sampled_from(sorted(structure[(i, j)])))
+        units = [ONE, MINUS_ONE] if kind == "real" else [I, -I]
+        structure[(i, j)][k] = structure[(i, j)][k] + data.draw(st.sampled_from(units))
+    else:
         target = degree_add(degs[i], degs[j])
         k = data.draw(st.sampled_from([
             k for k in range(g.dim) if (degs[k] == target) == (kind == "new")]))
         structure[(i, j)] = {k: data.draw(st.sampled_from([ONE, MINUS_ONE, I, -I]))}
-    bad = GradedAlgebra(list(degs), structure)
+    return GradedAlgebra(list(degs), structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_jacobi_witness_matches_pair_scan(data):
+    """Each perturbation of _perturbed but "late": the triple scan of
+    check_axioms reports the witness of the module check on ad."""
+    g = _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)])))
+    kind = data.draw(st.sampled_from(["real", "imaginary", "new", "off-degree"]))
+    bad = _perturbed(data, g, kind)
     report = check_axioms(bad)
     assert (report.closure is None) == (kind != "off-degree")
     assert (report.jacobi[0] if report.jacobi else None) == _pair_scan_witness(bad)
+
+
+def _shift_algebra(n, top, a):
+    """d = e_0 of degree a and e_1..e_n, e_i of degree i*a, with
+    [d, e_i] = e_(i+1) (e_(n+1) = 0) and [e_i, e_j] = c_ij e_(i+j) (zero past
+    e_n), where c_ij = top[i-1] for i + j = n and c_ij = c_(i+1)j + c_i(j+1)
+    below, so that ad d is a derivation.  generating_set takes d, whose
+    closure is its span, then e_1, whose closure is everything; Jacobi can
+    fail only on e_1..e_n, the complement of the first closure, so only the
+    last frame, (e_1, C_1), can see it."""
+    c = {}
+    for s in range(n, 2, -1):
+        for i in range(1, (s + 1) // 2):
+            c[i, s - i] = top[i - 1] if s == n else c.get((i + 1, s - i), 0) + c.get((i, s - i + 1), 0)
+    structure = {(0, i): {i + 1: ONE} for i in range(1, n)}
+    structure.update({(i, j): {i + j: GQ(v)} for (i, j), v in c.items() if v})
+    return GradedAlgebra([a] + [a if i % 2 else (0, 0) for i in range(1, n + 1)], structure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generator_jacobi_verdict_matches_pair_scan(data):
+    """Each perturbation of _perturbed that keeps the bracket graded, and the
+    algebras of _shift_algebra: Jacobi on generating_set's frames fails
+    exactly when the scan of every sorted triple does, and check_axioms
+    keeps the frames only then."""
+    kind = data.draw(st.sampled_from(["real", "imaginary", "new", "late", "shift"]))
+    if kind == "shift":
+        n = data.draw(st.integers(5, 7))
+        top = data.draw(st.lists(st.sampled_from([0, 1, -1]), min_size=(n - 1) // 2,
+                                 max_size=(n - 1) // 2))
+        bad = _shift_algebra(n, top, data.draw(st.sampled_from(DEGREES)))
+    else:
+        bad = _perturbed(data, _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)]))),
+                         kind)
+    rows = bracket_rows(bad)
+    fast = _jacobi_failure(bad, rows, generating_set(bad, rows), True)
+    assert (fast is None) == (_jacobi_failure(bad, rows, pair_scan(range(bad.dim), bad.dim),
+                                              True) is None)
+    assert (check_axioms(bad).generators is None) == (fast is not None)
 
 
 def test_jacobi_without_closure_scans_every_k():
@@ -173,17 +262,6 @@ def test_jacobi_without_closure_scans_every_k():
     assert report.jacobi[0] == (0, 1, 1) == _pair_scan_witness(g)
 
 
-def _subalgebra_dim(g, gens):
-    """Dimension of the subalgebra generated by the e_s, s in gens: brackets
-    of every pair of spanned vectors until the span stops growing."""
-    sb = SubspaceBasis()
-    frontier = [unit_vec(s) for s in gens]
-    while frontier:
-        new = [v for v in frontier if sb.add(v)]
-        frontier = [g.bracket(x, y) for x in new for y in sb.inserted]
-    return sb.dim
-
-
 # the 490 parameter tuples with 2 <= p+q+r+s <= 8, drawn directly: a filter
 # over all 4-tuples in [0, 8] keeps about 7.5% of its draws
 SO_PARAMS = [t for t in product(range(9), repeat=4) if 2 <= sum(t) <= 8]
@@ -193,7 +271,7 @@ SO_PARAMS = [t for t in product(range(9), repeat=4) if 2 <= sum(t) <= 8]
 @given(st.sampled_from(SO_PARAMS))
 def test_generating_set_generates_so_pqrs(params):
     g = _so(params)
-    gens = generating_set(g)
+    gens = _gens(g)
     assert len(set(gens)) == len(gens)
     assert _subalgebra_dim(g, gens) == g.dim
 
@@ -203,7 +281,7 @@ def test_generating_set_generates_direct_sum():
     both summands."""
     g = _so((2, 2, 2, 2))
     s = direct_sum(g, g)
-    gens = generating_set(s)
+    gens = _gens(s)
     assert {i < g.dim for i in gens} == {True, False}
     assert _subalgebra_dim(s, gens) == s.dim
 
@@ -211,10 +289,10 @@ def test_generating_set_generates_direct_sum():
 def test_generating_set_sizes(g4222):
     """Degree != (0,0) candidates come first: in index order the five Cartan
     vectors of the worked so(4,2,2,2) basis would be taken first, giving 15."""
-    gens = generating_set(g4222)
+    gens = _gens(g4222)
     assert len(gens) == 10
     assert all(g4222.degrees[i] != (0, 0) for i in gens)
-    assert len(generating_set(_so((6, 2, 2, 2)))) == 11
+    assert len(_gens(_so((6, 2, 2, 2)))) == 11
 
 
 def test_generating_set_certifies_its_closure(g4222, monkeypatch):
@@ -226,7 +304,7 @@ def test_generating_set_certifies_its_closure(g4222, monkeypatch):
 
     monkeypatch.setattr("colorlie.algebra.SubspaceBasis", ShortBasis)
     with pytest.raises(CertificateFailed):
-        generating_set(g4222)
+        generating_set(g4222, bracket_rows(g4222))
 
 
 def test_from_matrices_not_closed():

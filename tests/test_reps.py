@@ -5,7 +5,7 @@ from conftest import reference_homomorphism_failure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorlie.algebra import GradedAlgebra, generating_set, homomorphism_failure
+from colorlie.algebra import GradedAlgebra, check_axioms, homomorphism_failure, pair_scan
 from colorlie.errors import (
     CertificateFailed,
     DimensionMismatch,
@@ -101,6 +101,28 @@ def _pair_fails(g, mats, s, j, lhs, rhs) -> bool:
     return differ
 
 
+def _changed(data, rep, k, kinds):
+    """The matrices of rep with pi(e_k) changed: an entry by +-1 ("real"),
+    +-i ("imaginary") or +-1/2 ("half"), a new +-1 entry ("new"), or not at
+    all ("none")."""
+    mats = list(rep.matrices)
+    m = mats[k] = mats[k].copy()
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "new":
+        r = data.draw(st.integers(0, rep.dim - 1))
+        c = data.draw(st.sampled_from([c for c in range(rep.dim) if c not in m.rows[r]]))
+        m.rows[r][c] = data.draw(st.sampled_from([ONE, MINUS_ONE]))
+    elif kind != "none":
+        r, c = data.draw(st.sampled_from(
+            [(r, c) for r, row in enumerate(m.rows) for c in sorted(row)]))
+        units = {"real": [ONE, MINUS_ONE], "imaginary": [I, -I],
+                 "half": [GQ(Fraction(1, 2)), GQ(Fraction(-1, 2))]}[kind]
+        m.rows[r][c] = m.rows[r][c] + data.draw(st.sampled_from(units))
+        if not m.rows[r][c]:
+            del m.rows[r][c]
+    return mats
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_generator_scan_verdict_matches_full_scan(defn4222, tensor4222, g4211,
@@ -111,24 +133,11 @@ def test_generator_scan_verdict_matches_full_scan(defn4222, tensor4222, g4211,
     rep = data.draw(st.sampled_from([
         defn4222, tensor4222, defining_representation(g4211, fx4211.realization)]))
     g = rep.algebra
-    k = data.draw(st.integers(0, g.dim - 1))
-    mats = list(rep.matrices)
-    m = mats[k] = mats[k].copy()
-    kind = data.draw(st.sampled_from(["real", "imaginary", "new"]))
-    if kind == "new":
-        r = data.draw(st.integers(0, rep.dim - 1))
-        c = data.draw(st.sampled_from([c for c in range(rep.dim) if c not in m.rows[r]]))
-        m.rows[r][c] = data.draw(st.sampled_from([ONE, MINUS_ONE]))
-    else:
-        r, c = data.draw(st.sampled_from(
-            [(r, c) for r, row in enumerate(m.rows) for c in sorted(row)]))
-        units = [ONE, MINUS_ONE] if kind == "real" else [I, -I]
-        m.rows[r][c] = m.rows[r][c] + data.draw(st.sampled_from(units))
-        if not m.rows[r][c]:
-            del m.rows[r][c]
+    mats = _changed(data, rep, data.draw(st.integers(0, g.dim - 1)),
+                    ["real", "imaginary", "new"])
     bad = Representation(g, rep.dim, mats, grading=rep.grading)
     report = is_representation(bad)
-    full = homomorphism_failure(g, mats, range(g.dim))
+    full = homomorphism_failure(g, mats, pair_scan(range(g.dim), g.dim))
     assert (report.witness is None) == (full is None)
     if report.witness is not None:
         assert _pair_fails(g, mats, *report.witness)
@@ -142,31 +151,82 @@ def test_homomorphism_failure_matches_reference(defn4222, tensor4222, rescaled42
     by 1/2, on modules with integer entries and on the rescaled defining
     module, whose entries have denominators up to 15, or no perturbation:
     homomorphism_failure returns the verdict and witness of the reference
-    that compares the two matrices of each pair, on the generator scan and
+    that compares the two matrices of each pair, on the frames of
+    check_axioms, on the scan over every j but the generators before s, and
     on the full scan."""
     rep = data.draw(st.sampled_from([
         defn4222, tensor4222, rescaled4222,
         defining_representation(g4211, fx4211.realization)]))
     g = rep.algebra
-    k = data.draw(st.integers(0, g.dim - 1))
-    mats = list(rep.matrices)
-    m = mats[k] = mats[k].copy()
-    kind = data.draw(st.sampled_from(["none", "real", "imaginary", "half", "new"]))
-    if kind == "new":
-        r = data.draw(st.integers(0, rep.dim - 1))
-        c = data.draw(st.sampled_from([c for c in range(rep.dim) if c not in m.rows[r]]))
-        m.rows[r][c] = data.draw(st.sampled_from([ONE, MINUS_ONE]))
-    elif kind != "none":
-        r, c = data.draw(st.sampled_from(
-            [(r, c) for r, row in enumerate(m.rows) for c in sorted(row)]))
-        units = {"real": [ONE, MINUS_ONE], "imaginary": [I, -I],
-                 "half": [GQ(Fraction(1, 2)), GQ(Fraction(-1, 2))]}[kind]
-        m.rows[r][c] = m.rows[r][c] + data.draw(st.sampled_from(units))
-        if not m.rows[r][c]:
-            del m.rows[r][c]
-    for gens in (generating_set(g), range(g.dim)):
-        assert homomorphism_failure(g, mats, gens) == reference_homomorphism_failure(
-            g, mats, gens)
+    mats = _changed(data, rep, data.draw(st.integers(0, g.dim - 1)),
+                    ["none", "real", "imaginary", "half", "new"])
+    frames = check_axioms(g).generators
+    for scan in (frames, pair_scan([s for s, _ in frames], g.dim),
+                 pair_scan(range(g.dim), g.dim)):
+        assert homomorphism_failure(g, mats, scan) == reference_homomorphism_failure(
+            g, mats, scan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_frames_witness_matches_reference(defn4222, tensor4222, rescaled4222,
+                                          g4211, fx4211, data):
+    """pi(e_j) changed as in test_homomorphism_failure_matches_reference, for a
+    j that is a pivot of the closure L_(k-1) of a generator s_k, k > 1, so
+    the frame (s_k, C_(k-1)) skips the pair (s_k, e_j) and only the
+    linear-combination argument covers it; j = s_(k-1) is drawn more often:
+    a changed generator can fail first at a partner outside its own frame.
+    is_representation reports the verdict and witness of the reference on
+    the scan over every j but the generators before s."""
+    rep = data.draw(st.sampled_from([
+        defn4222, tensor4222, rescaled4222,
+        defining_representation(g4211, fx4211.realization)]))
+    g = rep.algebra
+    frames = check_axioms(g).generators
+    k = data.draw(st.integers(1, len(frames) - 1))
+    s, comp = frames[k]
+    j = data.draw(st.sampled_from(
+        [frames[k - 1][0]] + [j for j in range(g.dim) if j != s and j not in comp]))
+    mats = _changed(data, rep, j, ["none", "real", "imaginary", "half", "new"])
+    report = is_representation(Representation(g, rep.dim, mats))
+    assert report.witness == reference_homomorphism_failure(
+        g, mats, pair_scan([s for s, _ in frames], g.dim))
+
+
+def test_frames_witness_is_the_generator_scan_witness(defn4222):
+    """pi(e_11), the third generator, plus 1 at (2,2): the first two
+    generators pass and e_11 fails, first at e_1 among its frame's partners
+    but at e_0, a pivot of the closure of the first two, in the scan over
+    every partner; the witness is the latter."""
+    g = defn4222.algebra
+    mats = list(defn4222.matrices)
+    m = mats[11] = mats[11].copy()
+    m.rows[2][2] = m.rows[2].get(2, GQ(0)) + ONE
+    frames = check_axioms(g).generators
+    assert [s for s, _ in frames[:3]] == [9, 10, 11]
+    assert homomorphism_failure(g, mats, frames)[:2] == (11, 1)
+    witness = is_representation(Representation(g, 10, mats)).witness
+    assert witness[:2] == (11, 0)
+    assert witness == reference_homomorphism_failure(g, mats, pair_scan([9, 10, 11], g.dim))
+
+
+def test_frames_bound_the_pair_tests(g4222, defn4222, monkeypatch):
+    """On the worked so(4,2,2,2) basis the frames have 44, 43, 41, 40, 38,
+    34, 29, 23, 16 and 8 partners: at most 316 pair tests decide Jacobi
+    (990 sorted pairs) and 316 more the module (395 generator pairs)."""
+    from colorlie import algebra
+
+    calls = []
+    real = algebra.commutator_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "commutator_residual", counted)
+    assert check_axioms(g4222).ok and len(calls) <= 316
+    calls.clear()
+    assert is_representation(defn4222).ok and len(calls) <= 632
 
 
 def test_trivial_rep(g4222, rs4222):
