@@ -139,15 +139,17 @@ def lincomb(mats: list, x: dict, n: int) -> SMat:
     rows = [dict() for _ in range(n)]
     for i, c in x.items():
         for row, other in zip(rows, mats[i].rows):
-            vec_axpy(row, c, other)
+            if other:
+                vec_axpy(row, c, other)
     return SMat(n, n, rows)
 
 
 def add_product(out: SMat, s: GQ, a: SMat, b: SMat) -> None:
-    """out += s * (a @ b), one row accumulator per row of out."""
+    """out += s * (a @ b), one row accumulator per nonempty row of a."""
     brows = b.rows
     for acc, row in zip(out.rows, a.rows):
-        addmul(acc, s, row, brows)
+        if row:
+            addmul(acc, s, row, brows)
 
 
 def graded_commutator(x: SMat, y: SMat, eps: GQ) -> SMat:
