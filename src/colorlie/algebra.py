@@ -290,7 +290,7 @@ def _jacobi_failure(g: GradedAlgebra, rows: list, scan, sorted_triples: bool):
     den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
     for i, partners in scan:
         for j in partners:
-            key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a, g.bracket_basis(i, j),
+            key = commutator_residual(rows, j, i, sign(degs[i], degs[j])._a, rows[i].get(j, {}),
                                       den, n, j + 1 if sorted_triples else 0)
             if key is not None:
                 return i, j, key // n

@@ -146,10 +146,6 @@ def _subalgebra(g, gens):
     return sb
 
 
-def _subalgebra_dim(g, gens):
-    return _subalgebra(g, gens).dim
-
-
 @lru_cache(maxsize=None)
 def _late_complements(g):
     """For each generator s_k of the later half of generating_set(g), the
@@ -273,7 +269,7 @@ def test_generating_set_generates_so_pqrs(params):
     g = _so(params)
     gens = _gens(g)
     assert len(set(gens)) == len(gens)
-    assert _subalgebra_dim(g, gens) == g.dim
+    assert _subalgebra(g, gens).dim == g.dim
 
 
 def test_generating_set_generates_direct_sum():
@@ -283,7 +279,7 @@ def test_generating_set_generates_direct_sum():
     s = direct_sum(g, g)
     gens = _gens(s)
     assert {i < g.dim for i in gens} == {True, False}
-    assert _subalgebra_dim(s, gens) == s.dim
+    assert _subalgebra(s, gens).dim == s.dim
 
 
 def test_generating_set_sizes(g4222):

@@ -33,7 +33,7 @@ from colorlie.reps import (
     weight_decomposition,
 )
 from colorlie.roots import reflect
-from colorlie.scalars import GQ, I, MINUS_ONE, ONE
+from colorlie.scalars import GQ, I, MINUS_ONE, ONE, commutator_residual
 
 
 def _eps(i, rank=5, s=1):
@@ -214,16 +214,13 @@ def test_frames_bound_the_pair_tests(g4222, defn4222, monkeypatch):
     """On the worked so(4,2,2,2) basis the frames have 44, 43, 41, 40, 38,
     34, 29, 23, 16 and 8 partners: at most 316 pair tests decide Jacobi
     (990 sorted pairs) and 316 more the module (395 generator pairs)."""
-    from colorlie import algebra
-
     calls = []
-    real = algebra.commutator_residual
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        return commutator_residual(*args)
 
-    monkeypatch.setattr(algebra, "commutator_residual", counted)
+    monkeypatch.setattr("colorlie.algebra.commutator_residual", counted)
     assert check_axioms(g4222).ok and len(calls) <= 316
     calls.clear()
     assert is_representation(defn4222).ok and len(calls) <= 632
