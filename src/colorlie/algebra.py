@@ -7,7 +7,6 @@ degree, so graded antisymmetry forces [e_i, e_i] = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import CertificateFailed, DimensionMismatch, NotClosed
@@ -15,6 +14,7 @@ from .grading import (
     ZERO_DEGREE,
     check_degree,
     degree_add,
+    degree_pairing,
     sign,
 )
 from .linalg import (
@@ -131,15 +131,16 @@ class GradedAlgebra:
         return f"GradedAlgebra(dim={self.dim})"
 
 
-@dataclass
 class AxiomReport:
     """Per-axiom verdicts; a None witness means PASS.  Graded antisymmetry
     always passes: GradedAlgebra.__init__ rejects brackets that break it, and
     bracket_basis derives each (j, i) with j > i from the stored (i, j)."""
 
-    closure: tuple | None = None
-    jacobi: tuple | None = None
-    generators: list | None = None  # generating_set's frames, when ok
+    def __init__(self, closure: tuple | None = None, jacobi: tuple | None = None,
+                 generators: list | None = None):
+        self.closure = closure
+        self.jacobi = jacobi
+        self.generators = generators  # generating_set's frames, when ok
 
     @property
     def ok(self) -> bool:
@@ -230,12 +231,12 @@ def homomorphism_failure(g: GradedAlgebra, mats: list, scan):
 
 
 def bracket_rows(g: GradedAlgebra) -> list:
-    """The transposed ad matrices: rows[a][k] = [e_a, e_k], nonzero ones
-    only, in increasing k."""
-    rows = [{} for _ in range(g.dim)]
-    for a, b in sorted(g.structure):
-        rows[a][b] = g.bracket_basis(a, b)
-        rows[b][a] = g.bracket_basis(b, a)
+    """The transposed ad matrices, read only: rows[a][k] = [e_a, e_k], nonzero
+    ones only, in increasing k; [e_b, e_a] is the stored [e_a, e_b] if -eps = 1."""
+    rows, degs = [{} for _ in range(g.dim)], g.degrees
+    for (a, b), c in sorted(g.structure.items()):
+        rows[a][b] = c
+        rows[b][a] = c if degree_pairing(degs[a], degs[b]) else {k: -v for k, v in c.items()}
     return rows
 
 
@@ -358,9 +359,13 @@ def from_matrices(m: MatrixRealization) -> GradedAlgebra:
     for mat in m.matrices:
         if not sb.add(flat(mat)):
             raise ValueError("basis matrices are not linearly independent")
+    rowm = [sum(1 << r for r, row in enumerate(mat.rows) if row) for mat in m.matrices]
+    colm = [sum(1 << c for c in set().union(*mat.rows)) for mat in m.matrices]
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):  # [x, x] = 0 for homogeneous x: eps(a, a) = 1
+            if not (colm[i] & rowm[j] or colm[j] & rowm[i]):
+                continue  # x_i x_j = x_j x_i = 0 (Gustavson, ACM TOMS 4 (1978) 250)
             comm = flat(graded_commutator(m.matrices[i], m.matrices[j],
                                           sign(m.basis_degrees[i], m.basis_degrees[j])))
             coords = sb.coords(comm)

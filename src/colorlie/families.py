@@ -14,7 +14,6 @@ from plain so(n) exactly in the b11, b10, c01 blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixRealization
@@ -35,27 +34,33 @@ _LOWER_SIGN = {
 }
 
 
-@dataclass(frozen=True)
-class SoParams:
-    p: int
-    q: int
-    r: int
-    s: int
+class SoParams(tuple):
+    """Block sizes (p, q, r, s) as an immutable tuple: SoParams(4, 2, 2, 2) == (4, 2, 2, 2)."""
 
-    def __post_init__(self):
-        for v in (self.p, self.q, self.r, self.s):
-            if v < 0:
-                raise DimensionMismatch("block sizes must be nonnegative")
-        if self.p + self.q + self.r + self.s < 2:
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int, s: int):
+        if min(p, q, r, s) < 0:
+            raise DimensionMismatch("block sizes must be nonnegative")
+        if p + q + r + s < 2:
             raise DimensionMismatch("total dimension must be at least 2")
+        return super().__new__(cls, (p, q, r, s))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    p = property(lambda self: self[0])
+    q = property(lambda self: self[1])
+    r = property(lambda self: self[2])
+    s = property(lambda self: self[3])
 
     @property
     def sizes(self):
-        return (self.p, self.q, self.r, self.s)
+        return tuple(self)
 
     @property
     def total(self):
-        return self.p + self.q + self.r + self.s
+        return sum(self)
 
 
 def so_pqrs(params: SoParams) -> MatrixRealization:
@@ -151,16 +156,13 @@ def _root_vector(n: int, i: int, j: int, si: int, sj: int, lower_sign: GQ) -> SM
     return m
 
 
-@dataclass
 class Fixture:
-    realization: MatrixRealization
-    cartan_indices: list  # indices of the H basis elements in the realization
-    root_table: dict  # root vector (tuple of Fraction) -> {degree: basis index}
-    zero_part: dict  # degree -> list of basis indices annihilated by the Cartan
-
-    @property
-    def rank(self):
-        return len(self.cartan_indices)
+    def __init__(self, realization: MatrixRealization, cartan_indices: list,
+                 root_table: dict, zero_part: dict):
+        self.realization = realization
+        self.cartan_indices = cartan_indices  # indices of the H basis elements in the realization
+        self.root_table = root_table  # root vector (tuple of Fraction) -> {degree: basis index}
+        self.zero_part = zero_part  # degree -> list of basis indices annihilated by the Cartan
 
 
 def _eps(rank: int, entries: dict):

@@ -8,7 +8,6 @@ single source; outputs that depend on it are flagged with `tensorConvention`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -48,14 +47,13 @@ from .roots import RootSystem, _lattice, is_self_centralizing, killing_value, ro
 from .scalars import GQ, ONE
 
 
-@dataclass
 class Representation:
-    algebra: GradedAlgebra
-    dim: int
-    matrices: list  # one dim x dim SMat per algebra basis element
-    grading: list | None = None  # optional Degree per module basis vector
-
-    def __post_init__(self):
+    def __init__(self, algebra: GradedAlgebra, dim: int, matrices: list,
+                 grading: list | None = None):
+        self.algebra = algebra
+        self.dim = dim
+        self.matrices = matrices  # one dim x dim SMat per algebra basis element
+        self.grading = grading  # optional Degree per module basis vector
         if self.dim <= 0:
             raise DimensionMismatch("module dimension must be positive")
         if len(self.matrices) != self.algebra.dim:
@@ -78,11 +76,11 @@ class Representation:
         return lincomb(self.matrices, x, self.dim)
 
 
-@dataclass
 class RepReport:
-    ok: bool
-    witness: tuple | None  # (i, j, lhs, rhs) of the first violated pair
-    grading_witness: tuple | None  # (i, coord, degree seen, degree expected)
+    def __init__(self, ok: bool, witness: tuple | None, grading_witness: tuple | None):
+        self.ok = ok
+        self.witness = witness  # (i, j, lhs, rhs) of the first violated pair
+        self.grading_witness = grading_witness  # (i, coord, degree seen, degree expected)
 
     def lines(self):
         out = []
@@ -192,10 +190,10 @@ def casimir_eigenvalue_formula(rs: RootSystem, lam) -> Fraction:
     return rs.inner(lam, shifted)
 
 
-@dataclass
 class WeightDecomposition:
-    weights: list  # sorted rational vectors
-    spaces: dict  # weight -> list of vectors in V
+    def __init__(self, weights: list, spaces: dict):
+        self.weights = weights  # sorted rational vectors
+        self.spaces = spaces  # weight -> list of vectors in V
 
     def multiplicity(self, mu) -> int:
         return len(self.spaces.get(tuple(mu), ()))
@@ -279,12 +277,13 @@ def highest_weight_vectors(rep: Representation, rs: RootSystem):
     return [(wd.weights[i], [combine(basis, u) for u in ker]) for i, ker in hw.items()]
 
 
-@dataclass
 class IrreducibleComponent:
-    highest_weight: tuple
-    basis: list  # vectors spanning the component
-    casimir_value: Fraction
-    degree_of_hw_space: tuple | None = None  # when the module is graded
+    def __init__(self, highest_weight: tuple, basis: list, casimir_value: Fraction,
+                 degree_of_hw_space: tuple | None = None):
+        self.highest_weight = highest_weight
+        self.basis = basis  # vectors spanning the component
+        self.casimir_value = casimir_value
+        self.degree_of_hw_space = degree_of_hw_space  # when the module is graded
 
     @property
     def dim(self) -> int:

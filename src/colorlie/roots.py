@@ -4,7 +4,6 @@ fundamental-weight orbits, `weyl_group` lists it), and enhanced Dynkin data.
 A failed certificate raises CertificateFailed."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -39,10 +38,10 @@ from .linalg import (
 from .scalars import GQ, I, MINUS_ONE, ONE, TWO, ZERO
 
 
-@dataclass
 class CartanSubalgebra:
-    basis: list  # coefficient vectors inside g^(0,0)
-    gram: SMat  # Killing form restricted to this basis (rational entries)
+    def __init__(self, basis: list, gram: SMat):
+        self.basis = basis  # coefficient vectors inside g^(0,0)
+        self.gram = gram  # Killing form restricted to this basis (rational entries)
 
     @property
     def rank(self) -> int:
@@ -166,10 +165,10 @@ def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
             "pass one as cartanHint") from None
 
 
-@dataclass
 class RootDatum:
-    alpha: tuple  # rational values on the Cartan basis
-    spaces_by_degree: dict  # Degree -> list of coefficient vectors
+    def __init__(self, alpha: tuple, spaces_by_degree: dict):
+        self.alpha = alpha  # rational values on the Cartan basis
+        self.spaces_by_degree = spaces_by_degree  # Degree -> list of coefficient vectors
 
     @property
     def dim(self) -> int:
@@ -179,24 +178,23 @@ class RootDatum:
         return sorted(self.spaces_by_degree)
 
 
-@dataclass
 class RootSystem:
-    cartan: CartanSubalgebra
-    roots: list  # list of RootDatum, sorted by root vector
-    zero_part: dict  # Degree -> list of vectors in g_0^a, a != (0,0)
-    gram_inv: SMat  # inverse of the Cartan Gram matrix (rational)
-    positive: list | None = None  # root vectors (tuples) in Delta+
-    simple: list | None = None  # simple root vectors
-    rho: tuple | None = None
-    # the simple-root frame, set with `simple`: per simple root, the rational
-    # vector c_i with <mu, alpha_i^vee> = mu . c_i, and column i of the
-    # inverse simple-root matrix
-    _coroots: list | None = field(default=None, repr=False)
-    _simple_inv: list | None = field(default=None, repr=False)
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {rd.alpha: rd for rd in self.roots}
+    def __init__(self, cartan: CartanSubalgebra, roots: list, zero_part: dict,
+                 gram_inv: SMat, positive: list | None = None, simple: list | None = None,
+                 rho: tuple | None = None, _coroots: list | None = None,
+                 _simple_inv: list | None = None):
+        self.cartan = cartan
+        self.roots = roots  # list of RootDatum, sorted by root vector
+        self.zero_part = zero_part  # Degree -> list of vectors in g_0^a, a != (0,0)
+        self.gram_inv = gram_inv  # inverse of the Cartan Gram matrix (rational)
+        self.positive = positive  # root vectors (tuples) in Delta+
+        self.simple = simple  # simple root vectors
+        self.rho = rho
+        # the simple-root frame, set with `simple`: per simple root, the rational
+        # vector c_i with <mu, alpha_i^vee> = mu . c_i, and column i of the
+        # inverse simple-root matrix
+        self._coroots, self._simple_inv = _coroots, _simple_inv
+        self._index = {rd.alpha: rd for rd in roots}
 
     @property
     def rank(self) -> int:
@@ -302,13 +300,9 @@ def is_self_centralizing(rs: RootSystem) -> bool:
     return not rs.zero_part
 
 
-@dataclass
 class Sl2Triplet:
-    h: dict
-    x: dict
-    y: dict
-    alpha: tuple
-    degree: tuple
+    def __init__(self, h: dict, x: dict, y: dict, alpha: tuple, degree: tuple):
+        self.h, self.x, self.y, self.alpha, self.degree = h, x, y, alpha, degree
 
 
 def sl2_triplet(g: GradedAlgebra, rs: RootSystem, alpha, degree) -> Sl2Triplet:
@@ -373,11 +367,11 @@ def reflect(rs: RootSystem, alpha, beta) -> tuple:
     return tuple(b - c * a for b, a in zip(beta, alpha))
 
 
-@dataclass
 class WeylGroup:
-    root_order: list  # fixed ordering of root vectors
-    elements: list  # permutations of the root list, as tuples
-    words: dict  # permutation -> list of generating root indices
+    def __init__(self, root_order: list, elements: list, words: dict):
+        self.root_order = root_order  # fixed ordering of root vectors
+        self.elements = elements  # permutations of the root list, as tuples
+        self.words = words  # permutation -> list of generating root indices
 
     @property
     def order(self) -> int:
@@ -479,8 +473,8 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
         inv = invert(SMat.from_dense([[GQ(x) for x in a] for a in simple]))
     except SingularForm:
         raise DegenerateOrder("the simple roots are linearly dependent")
-    rs = replace(
-        rs, positive=positive, simple=simple,
+    rs = RootSystem(
+        rs.cartan, rs.roots, rs.zero_part, rs.gram_inv, positive, simple,
         rho=tuple(sum((a[i] for a in positive), Fraction(0)) / 2 for i in range(rank)),
         _simple_inv=[tuple(inv.rows[j].get(i, ZERO).re for j in range(rank))
                      for i in range(rank)],
@@ -533,12 +527,12 @@ def root_degree(rs: RootSystem, beta) -> tuple:
     return degs[0]
 
 
-@dataclass
 class EnhancedDynkin:
-    simple: list  # simple roots, in canonical node order
-    cartan_matrix: list  # integer matrix on simple roots
-    dynkin_type: str  # "A5", "D5", ..., or "unclassified"
-    node_degrees: list  # Degree per simple root
+    def __init__(self, simple: list, cartan_matrix: list, dynkin_type: str, node_degrees: list):
+        self.simple = simple  # simple roots, in canonical node order
+        self.cartan_matrix = cartan_matrix  # integer matrix on simple roots
+        self.dynkin_type = dynkin_type  # "A5", "D5", ..., or "unclassified"
+        self.node_degrees = node_degrees  # Degree per simple root
 
 
 def cartan_matrix(rs: RootSystem, simple=None) -> list:
@@ -640,12 +634,12 @@ def enhanced_dynkin(rs: RootSystem, g: GradedAlgebra) -> EnhancedDynkin:
     )
 
 
-@dataclass
 class SimplicityVerdict:
-    simple: bool | None  # None at rank 0: no root to decide from
-    dynkin_type: str  # classify_dynkin of the simple-root Cartan matrix
-    witness: list | None  # basis of a proper nonzero graded ideal
-    reason: str
+    def __init__(self, simple: bool | None, dynkin_type: str, witness: list | None, reason: str):
+        self.simple = simple  # None at rank 0: no root to decide from
+        self.dynkin_type = dynkin_type  # classify_dynkin of the simple-root Cartan matrix
+        self.witness = witness  # basis of a proper nonzero graded ideal
+        self.reason = reason
 
 
 def simplicity(g: GradedAlgebra, rs: RootSystem) -> SimplicityVerdict:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from colorlie.algebra import from_matrices
+from colorlie.algebra import GradedAlgebra, from_matrices
 from colorlie.families import (
     SoParams,
     fixture_so4211,
@@ -11,7 +11,7 @@ from colorlie.families import (
     so_pqrs,
 )
 from colorlie.grading import sign
-from colorlie.linalg import graded_commutator, lincomb, unit_vec
+from colorlie.linalg import SubspaceBasis, graded_commutator, lincomb, unit_vec
 from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
@@ -149,6 +149,27 @@ def reference_homomorphism_failure(g, mats, scan):
             if lhs != rhs:
                 return s, j, lhs, rhs
     return None
+
+
+def reference_from_matrices(m):
+    """from_matrices without the support test: every pair i < j bracketed,
+    each graded commutator solved over the basis matrices."""
+    amb, mats = m.ambient_dim, m.matrices
+    flat = [{r * amb + c: v for r, row in enumerate(x.rows) for c, v in row.items()}
+            for x in mats]
+    sb = SubspaceBasis(flat)
+    assert sb.dim == len(mats)
+    structure = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = graded_commutator(mats[i], mats[j],
+                                     sign(m.basis_degrees[i], m.basis_degrees[j]))
+            coords = sb.coords({r * amb + c: v for r, row in enumerate(comm.rows)
+                                for c, v in row.items()})
+            assert coords is not None, (i, j)
+            if coords:
+                structure[(i, j)] = coords
+    return GradedAlgebra(m.basis_degrees, structure, labels=m.labels)
 
 
 @pytest.fixture(scope="session")

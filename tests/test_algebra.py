@@ -3,12 +3,13 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from conftest import reference_homomorphism_failure
+from conftest import reference_from_matrices, reference_homomorphism_failure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorlie.algebra import (
     GradedAlgebra,
+    MatrixRealization,
     _jacobi_failure,
     bracket_rows,
     check_axioms,
@@ -23,9 +24,9 @@ from colorlie.algebra import (
     pair_scan,
 )
 from colorlie.errors import CertificateFailed, DimensionMismatch, NotClosed
-from colorlie.families import SoParams, so_pqrs
+from colorlie.families import SoParams, fixture_so4222, so_pqrs
 from colorlie.grading import DEGREES, degree_add, sign
-from colorlie.linalg import SMat, SubspaceBasis, unit_vec
+from colorlie.linalg import SMat, SubspaceBasis, invert, unit_vec
 from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
@@ -315,6 +316,39 @@ def test_from_matrices_not_closed():
     with pytest.raises(NotClosed) as exc:
         from_matrices(real)
     assert exc.value.pair == (0, 1) and exc.value.residual
+
+
+@st.composite
+def conjugated_gl(draw):
+    """gl_graded of a graded space of dimension 2 to 4, conjugated by an
+    invertible P = LU with L and U unitriangular and nonzero only inside the
+    degree blocks: dense homogeneous matrices whose rows lie in one block
+    and columns in another, so row and column supports differ."""
+    sizes = draw(st.sampled_from([t for t in product(range(3), repeat=4) if 2 <= sum(t) <= 4]))
+    gl = gl_graded(dict(zip(DEGREES, sizes)))
+    n, block = gl.ambient_dim, gl.block_of
+    entries = st.sampled_from([GQ(0), ONE, MINUS_ONE, GQ(2), I, GQ(Fraction(1, 2))])
+
+    def unitriangular(below):
+        return SMat.from_dense([[ONE if r == c else draw(entries)
+                                 if block[r] == block[c] and (c < r) == below else GQ(0)
+                                 for c in range(n)] for r in range(n)])
+
+    p = unitriangular(True) @ unitriangular(False)
+    p_inv = invert(p)
+    mats = [p @ x @ p_inv for x in gl.matrices]
+    return MatrixRealization(gl.block_sizes, gl.block_degrees, mats, labels=gl.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(SO_PARAMS).map(lambda t: so_pqrs(SoParams(*t))),
+                 st.just(fixture_so4222().realization), conjugated_gl()))
+def test_from_matrices_matches_all_pairs(real):
+    """Bracketing only the pairs whose supports meet gives the structure
+    constants of bracketing every pair, in the same order."""
+    g, ref = from_matrices(real), reference_from_matrices(real)
+    assert g.degrees == ref.degrees and g.labels == ref.labels
+    assert list(g.structure.items()) == list(ref.structure.items())
 
 
 def test_killing_form_homogeneous_and_invariant(g4222):
