@@ -80,7 +80,7 @@ class RepReport:
     def __init__(self, ok: bool, witness: tuple | None, grading_witness: tuple | None):
         self.ok = ok
         self.witness = witness  # (i, j, lhs, rhs) of the first violated pair
-        self.grading_witness = grading_witness  # (i, coord, degree seen, degree expected)
+        self.grading_witness = grading_witness  # (i, r, c): pi(e_i)[r][c] breaks degree additivity
 
     def lines(self):
         out = []

@@ -155,17 +155,18 @@ def reference_from_matrices(m):
     """from_matrices without the support test: every pair i < j bracketed,
     each graded commutator solved over the basis matrices."""
     amb, mats = m.ambient_dim, m.matrices
-    flat = [{r * amb + c: v for r, row in enumerate(x.rows) for c, v in row.items()}
-            for x in mats]
-    sb = SubspaceBasis(flat)
+
+    def flat(x):
+        return {r * amb + c: v for r, row in enumerate(x.rows) for c, v in row.items()}
+
+    sb = SubspaceBasis(map(flat, mats))
     assert sb.dim == len(mats)
     structure = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = graded_commutator(mats[i], mats[j],
                                      sign(m.basis_degrees[i], m.basis_degrees[j]))
-            coords = sb.coords({r * amb + c: v for r, row in enumerate(comm.rows)
-                                for c, v in row.items()})
+            coords = sb.coords(flat(comm))
             assert coords is not None, (i, j)
             if coords:
                 structure[(i, j)] = coords

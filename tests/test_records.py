@@ -73,12 +73,6 @@ def test_record_constructors(cls, names, defaults, values):
         assert getattr(short, name) == value
 
 
-def test_root_system_indexes_its_roots():
-    rd = RootDatum((1, 0), {})
-    rs = RootSystem(None, [rd], {}, None)
-    assert rs.datum((1, 0)) is rd and rs.is_root([1, 0]) and not rs.is_root((0, 1))
-
-
 def test_so_params_is_an_immutable_tuple():
     params = SoParams(4, 2, 2, 2)
     assert params == (4, 2, 2, 2) and hash(params) == hash((4, 2, 2, 2))
