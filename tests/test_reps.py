@@ -324,6 +324,30 @@ def test_decompose_rejects_non_invariant_sum(g4222, defn4222, rs4222):
         decompose(rep, rs4222)
 
 
+def _cartan_not_semisimple(g, defn, rs):
+    """V+V for the defining module V, with the matrix unit that sends copy 2's
+    basis vector e_1 onto copy 1's e_1 added to pi(H_1).  e_1 lies in
+    V_{e1} + V_{-e1}, and every pi(H_k) still commutes with the others, but
+    pi(H_1) is no longer semisimple: on the generalized eigenspaces it has a
+    nilpotent part."""
+    double = direct_sum_rep(defn, defn)
+    (h,) = rs.cartan.basis[0]
+    m = double.matrices[h].copy()
+    m.rows[1][11] = m.rows[1].get(11, GQ(0)) + ONE
+    mats = list(double.matrices)
+    mats[h] = m
+    return Representation(g, 20, mats)
+
+
+def test_cartan_action_not_semisimple_rejected(g4222, defn4222, rs4222):
+    rep = _cartan_not_semisimple(g4222, defn4222, rs4222)
+    assert not is_representation(rep).ok
+    with pytest.raises(CertificateFailed):
+        decompose(rep, rs4222)
+    with pytest.raises(CertificateFailed):
+        grading_synthesis(rep, rs4222)
+
+
 def test_decompose_requires_self_centralizing(g4211, rs4211):
     triv = trivial_representation(g4211)
     with pytest.raises(NotSelfCentralizing):
