@@ -574,14 +574,16 @@ def _coordinate_blocks(vectors: list, operators: list) -> list:
 
 
 def eigensplit(vectors: list, operators: list):
-    """Split span(vectors) into joint (generalized) eigenspaces.
+    """Split span(vectors) into exact joint eigenspaces.
 
     vectors: sparse ambient vectors spanning an invariant subspace of every
     operator.  The blocks of `_coordinate_blocks` isolate invariant
     subspaces, as in Parlett and Reinsch, Numer. Math. 13 (1969) 293: each
     is split on its own and the pieces are merged by eigentuple, block by
     block.  A piece on which an operator acts as a scalar stays whole; any
-    other splits by the roots of the operator's minimal polynomial there.
+    other splits into the kernels of r - lambda over the roots lambda of the
+    minimal polynomial of the restriction r, and CertificateFailed unless
+    they fill it: every operator acts by its eigenvalue on every piece.
     Returns a list of (eigentuple, [ambient vectors]) sorted by the
     eigenvalue tuples; raises IrrationalEigenvalue when a minimal polynomial
     does not split over Q(i)."""
@@ -611,13 +613,8 @@ def eigensplit(vectors: list, operators: list):
                         raise IrrationalEigenvalue(
                             f"minimal polynomial has an irreducible factor of degree {residual}"
                         )
-                    local[key] = []
-                    for lam, mult in roots:
-                        shifted = r - SMat.identity(r.nrows).scaled(lam)
-                        power = shifted
-                        for _ in range(mult - 1):
-                            power = power @ shifted
-                        local[key].append((lam, kernel_basis(power)))
+                    local[key] = [(lam, kernel_basis(r - SMat.identity(r.nrows).scaled(lam)))
+                                  for lam, _ in roots]
                     if sum(len(kernel) for _, kernel in local[key]) != sb.dim:
                         raise CertificateFailed("eigenspace dimensions do not add up")
                 for lam, kernel in local[key]:

@@ -9,7 +9,8 @@ single source; outputs that depend on it are flagged with `tensorConvention`.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .algebra import (
     GradedAlgebra,
@@ -191,9 +192,10 @@ def casimir_eigenvalue_formula(rs: RootSystem, lam) -> Fraction:
 
 
 class WeightDecomposition:
-    def __init__(self, weights: list, spaces: dict):
+    def __init__(self, weights: list, spaces: dict, keys: list | None = None, scale: int = 1):
         self.weights = weights  # sorted rational vectors
-        self.spaces = spaces  # weight -> list of vectors in V
+        self.spaces = spaces  # weight -> list of vectors in V, in weights order
+        self.keys, self.scale = keys, scale  # scale * v for each weight, then each root
 
     def multiplicity(self, mu) -> int:
         return len(self.spaces.get(tuple(mu), ()))
@@ -202,71 +204,74 @@ class WeightDecomposition:
 def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposition:
     """Joint exact eigenspaces of {pi(H)} over the Cartan basis, split by
     eigensplit from the coordinate vectors, so on the Cartan operators'
-    invariant coordinate blocks; equal weight coordinates are one Fraction.
-    NonIntegralWeight unless every weight is integral against the simple
-    coroots (and so against every root)."""
+    invariant coordinate blocks: CertificateFailed unless the Cartan acts
+    semisimply, by the weights.  Each weight, then each root of rs.roots,
+    gets an integer key (`_lattice`).  NonIntegralWeight unless every key
+    is integral against the simple coroots scaled to integers (then it is
+    against every root)."""
     ops = [rep.apply(h) for h in rs.cartan.basis]
     pieces = eigensplit([unit_vec(i) for i in range(rep.dim)], ops)
-    spaces = {}
-    shared: dict = {}
-    total = 0
-    for eig, vecs in pieces:
-        if any(not v.is_rational() for v in eig):
-            raise NonIntegralWeight("weight takes a non-rational value on the Cartan")
-        mu = tuple(shared.setdefault(v.re, v.re) for v in eig)
-        if any(c.denominator != 1 for c in rs.pairings(mu)):
+    # one Fraction per distinct coordinate; the weights are sorted, as eigensplit sorts
+    values = {v: v.re for v in dict.fromkeys(v for eig, _ in pieces for v in eig)}
+    if not all(map(GQ.is_rational, values)):
+        raise NonIntegralWeight("weight takes a non-rational value on the Cartan")
+    weights = [tuple(map(values.get, eig)) for eig, _ in pieces]
+    scale, keys = _lattice(weights + [rd.alpha for rd in rs.roots])
+    den, coroots, _ = rs.integer_frames()
+    for mu, key in zip(weights, keys):
+        if any(sum(map(mul, key, c)) % (scale * den) for c in coroots):
             raise NonIntegralWeight(f"weight {mu} is not integral")
-        spaces[mu] = vecs
-        total += len(vecs)
-    if total != rep.dim:
+    if sum(len(vecs) for _, vecs in pieces) != rep.dim:
         raise CertificateFailed("weight spaces do not fill the module")
-    return WeightDecomposition(sorted(spaces), spaces)
+    return WeightDecomposition(weights, dict(zip(weights, (v for _, v in pieces))), keys, scale)
 
 
 def _weight_frame(rep: Representation, rs: RootSystem):
     """(wd, basis, weight_of, roots, ops, hw): the weight decomposition, the
     weight basis (the weight spaces' bases in wd.weights order), each basis
-    vector's weight index, (alpha, degree, x, raising) per root vector x,
-    each pi(x) over the weight basis, applied once to each weight vector,
-    and {weight index: basis of the nonzero highest-weight space there}.
-    Certifies that each pi(h) of the Cartan basis acts on V_mu by mu(h) and
-    that pi(x) maps V_mu into V_{mu+alpha}; NonIntegralWeight unless every
-    highest weight is dominant."""
+    vector's weight index, (key, degree, x, raising) per root vector x, key
+    the root's in wd.keys, each pi(x) over the weight basis, applied once to
+    each weight vector, and {weight index: basis of the nonzero
+    highest-weight space there}.  Certifies that pi(x) maps V_mu into
+    V_{mu+alpha} (weight_decomposition has certified that the Cartan acts by
+    the weights); NonIntegralWeight unless every highest weight is dominant."""
     wd = weight_decomposition(rep, rs)
-    basis = [v for mu in wd.weights for v in wd.spaces[mu]]
-    weight_of = [i for i, mu in enumerate(wd.weights) for _ in wd.spaces[mu]]
-    for k, op in enumerate(map(rep.apply, rs.cartan.basis)):
-        if any(op.matvec(v) != vec_scale(v, GQ(wd.weights[i][k]))
-               for v, i in zip(basis, weight_of)):
-            raise CertificateFailed(f"Cartan basis vector {k} does not act by the weights")
-    spans = [SubspaceBasis(wd.spaces[mu]) for mu in wd.weights]
-    first = [weight_of.index(i) for i in range(len(spans))]
+    spaces = list(wd.spaces.values())
+    basis = [v for vecs in spaces for v in vecs]
+    weight_of = [i for i, vecs in enumerate(spaces) for _ in vecs]
+    first = list(accumulate(map(len, spaces), initial=0))
+    spans = [SubspaceBasis(vecs) for vecs in spaces]
     positive = set(rs.positive)
-    roots = [(rd.alpha, a, x, rd.alpha in positive)
-             for rd in rs.roots for a in rd.degrees() for x in rd.spaces_by_degree[a]]
-    keys = _lattice(wd.weights + [alpha for alpha, *_ in roots])
-    index = {key: i for i, key in enumerate(keys[:len(spans)])}
+    roots = [(shift, a, x, rd.alpha in positive)
+             for rd, shift in zip(rs.roots, wd.keys[len(spaces):])
+             for a in rd.degrees() for x in rd.spaces_by_degree[a]]
+    index = {key: i for i, key in enumerate(wd.keys[:len(spaces)])}
     ops = []
-    for (alpha, _, x, _), shift in zip(roots, keys[len(spans):]):
+    for shift, _, x, _ in roots:
         op, cols = rep.apply(x), []
         for v, i in zip(basis, weight_of):
             image = op.matvec(v)
-            j = image and index.get(tuple(map(add, keys[i], shift)))
+            j = image and index.get(tuple(map(add, wd.keys[i], shift)))
             coords = {} if not image else None if j is None else spans[j].coords(image)
             if coords is None:
+                alpha = tuple(Fraction(c, wd.scale) for c in shift)
                 raise CertificateFailed(f"pi(x) for the root {alpha} maps "
                                         f"V_{wd.weights[i]} outside V_(mu+alpha)")
             cols.append({first[j] + c: value for c, value in coords.items()})
         ops.append(SMat(rep.dim, rep.dim, cols).transpose())
-    # the raising operators map weight spaces to weight spaces, so each
-    # vector of the basis of their joint kernel lies in one
+    # a raising operator's row over the weight basis lies in one weight's
+    # block of columns: the joint kernel is solved weight by weight
+    blocks = [[] for _ in spaces]
+    for row in (row for (*_, up), op in zip(roots, ops) if up for row in op.rows if row):
+        blocks[weight_of[next(iter(row))]].append(row)
     hw: dict = {}
-    rows = [row for (*_, up), op in zip(roots, ops) if up for row in op.rows if row]
-    for v in kernel_basis(SMat(len(rows), rep.dim, rows)):
-        hw.setdefault(weight_of[next(iter(v))], []).append(v)
-    for i in hw:
-        if any(c < 0 for c in rs.pairings(wd.weights[i])):
-            raise NonIntegralWeight(f"highest weight {wd.weights[i]} is not dominant")
+    for i, rows in enumerate(blocks):
+        f = first[i]
+        local = [{c - f: value for c, value in row.items()} for row in rows]
+        if kernel := kernel_basis(SMat(len(rows), len(spaces[i]), local)):
+            if any(c < 0 for c in rs.pairings(wd.weights[i])):
+                raise NonIntegralWeight(f"highest weight {wd.weights[i]} is not dominant")
+            hw[i] = [{f + c: value for c, value in u.items()} for u in kernel]
     return wd, basis, weight_of, roots, ops, hw
 
 
@@ -275,6 +280,14 @@ def highest_weight_vectors(rep: Representation, rs: RootSystem):
     weight is dominant integral."""
     wd, basis, _, _, _, hw = _weight_frame(rep, rs)
     return [(wd.weights[i], [combine(basis, u) for u in ker]) for i, ker in hw.items()]
+
+
+def _norms(wd: WeightDecomposition, rs: RootSystem) -> tuple:
+    """(d, q): <mu, mu> = q[i] / d for the i-th weight mu, as k G k / (scale^2 e)
+    for its key k and the integer matrix G = e * gram_inv."""
+    e, g = _lattice([[rs.gram_inv.get(i, j).re for j in range(rs.rank)] for i in range(rs.rank)])
+    return wd.scale ** 2 * e, [sum(map(mul, k, (sum(map(mul, k, row)) for row in g)))
+                               for k in wd.keys[:len(wd.weights)]]
 
 
 class IrreducibleComponent:
@@ -314,20 +327,20 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
     wd, basis, weight_of, roots, ops, hw = _weight_frame(rep, rs)
     gram = killing_form(rep.algebra)
-    norms = [GQ(rs.inner(mu, mu)) for mu in wd.weights]
-    terms = {ONE: SMat(rep.dim, rep.dim, [{r: norms[i]} if norms[i] else {}
-                                          for r, i in enumerate(weight_of)])}
-    partner = {(alpha, a): k for k, (alpha, a, _, _) in enumerate(roots)}
-    for op, (alpha, a, x, _) in zip(ops, roots):
-        p = partner.get((tuple(-c for c in alpha), a))
+    d, norms = _norms(wd, rs)  # terms: {d: T} for Omega = sum T / d
+    terms = {GQ(d): SMat(rep.dim, rep.dim, [{r: GQ(norms[i])} if norms[i] else {}
+                                            for r, i in enumerate(weight_of)])}
+    partner = {(key, a): k for k, (key, a, _, _) in enumerate(roots)}
+    for op, (key, a, x, _) in zip(ops, roots):
+        p = partner.get((tuple(-c for c in key), a))
         y = {} if p is None else roots[p][2]
         others = [z for _, d, z, _ in roots if d == a and z is not x] + rs.cartan.basis
         if not killing_value(gram, x, y) or any(killing_value(gram, z, y) for z in others):
             raise SingularForm("the Killing form does not pair each root vector with its"
                                " negative alone; no Casimir element")
-        term = terms.setdefault(ONE / killing_value(gram, x, y), SMat(rep.dim, rep.dim))
+        term = terms.setdefault(killing_value(gram, x, y), SMat(rep.dim, rep.dim))
         add_product(term, ONE, op, ops[p])  # integer products, scaled once per 1/K
-    omega = sum((term.scaled(s) for s, term in terms.items()), SMat(rep.dim, rep.dim))
+    omega = sum((term.scaled(ONE / d) for d, term in terms.items()), SMat(rep.dim, rep.dim))
     hw_space = SubspaceBasis(v for kernel in hw.values() for v in kernel)
     cert, components = SubspaceBasis(), []
     for i, kernel in hw.items():
@@ -395,39 +408,41 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("grading synthesis needs per-root degrees")
     wd = weight_decomposition(rep, rs)
-    # mu and nu share a root-lattice coset iff their simple-root coordinates
-    # have equal fractional parts
+    spaces = list(wd.spaces.values())
+    keys = wd.keys[:len(spaces)]
+    # mu has the simple-root coordinates n / unit for the integers n below;
+    # mu and nu share a root-lattice coset iff n = n' mod unit
+    den, _, frame = rs.integer_frames()
+    coords, unit = [[sum(map(mul, key, v)) for v in frame] for key in keys], wd.scale * den
     cosets = {}
-    for mu in wd.weights:
-        coords = rs.coordinates(mu)
-        cosets.setdefault(tuple(c % 1 for c in coords), []).append((mu, coords))
+    for i, n in enumerate(coords):
+        cosets.setdefault(tuple(c % unit for c in n), []).append(i)
     node_degrees = [root_degree(rs, a) for a in rs.simple]
-    grading, shared = {}, {}  # shared: one tuple per distinct degree
+    grading, shared = [None] * len(keys), {}  # shared: one tuple per distinct degree
     for members in cosets.values():
-        top = max(members)[1]  # maximal under the fixed lexicographic order
-        for mu, coords in members:
+        top = coords[members[-1]]  # maximal under the fixed lexicographic order
+        for i in members:
             deg = (0, 0)
-            for c, t, nd in zip(coords, top, node_degrees):
-                if (c - t) % 2:
+            for c, t, nd in zip(coords[i], top, node_degrees):
+                if (c - t) // unit % 2:
                     deg = degree_add(deg, nd)
-            grading[mu] = shared.setdefault(deg, deg)
+            grading[i] = shared.setdefault(deg, deg)
     # graded-module condition: pi(g_beta^a) V_mu subseteq V_{mu+beta} with
     # degree additivity wherever the action is nonzero.  Only a pair whose
     # target is no weight or has another degree can fail, so only there is
     # the image computed, and pi of a root vector only when some pair needs it
-    keys = _lattice(wd.weights + [rd.alpha for rd in rs.roots])
-    by_key = dict(zip(keys, wd.weights))
-    for rd, shift in zip(rs.roots, keys[len(wd.weights):]):
+    index = {key: i for i, key in enumerate(keys)}
+    for rd, shift in zip(rs.roots, wd.keys[len(keys):]):
         a, op = root_degree(rs, rd.alpha), None
-        for mu, key in zip(wd.weights, keys):
-            target = by_key.get(tuple(map(add, key, shift)))
-            if target is not None and grading[target] == degree_add(a, grading[mu]):
+        for i, key in enumerate(keys):
+            j = index.get(tuple(map(add, key, shift)))
+            if j is not None and grading[j] == degree_add(a, grading[i]):
                 continue
             op = rep.apply(rd.spaces_by_degree[a][0]) if op is None else op
-            if any(op.matvec(v) for v in wd.spaces[mu]):
-                raise CertificateFailed("action leaves the weight set" if target is None else
+            if any(op.matvec(v) for v in spaces[i]):
+                raise CertificateFailed("action leaves the weight set" if j is None else
                                         "synthesized grading violates the graded-module condition")
-    return wd, grading
+    return wd, dict(zip(wd.weights, grading))
 
 
 def apply_synthesized_grading(rep: Representation, rs: RootSystem) -> Representation:

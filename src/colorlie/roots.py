@@ -231,6 +231,14 @@ class RootSystem:
         """The n with beta = sum n_i alpha_i over the simple roots."""
         return self._dots(beta, self._simple_inv)
 
+    def integer_frames(self) -> tuple:
+        """(den, coroots, simple_inv): the frames read by `pairings` and
+        `coordinates`, times den, an integer vector each."""
+        if self._coroots is None:
+            raise ValueError("positive system not fixed; call positive_and_simple first")
+        den, frames = _lattice(self._coroots + self._simple_inv)
+        return den, frames[:self.rank], frames[self.rank:]
+
     def _dots(self, x, frame) -> tuple:
         if frame is None:
             raise ValueError("positive system not fixed; call positive_and_simple first")
@@ -430,10 +438,11 @@ def default_order_key(alpha) -> int:
     return 0
 
 
-def _lattice(vectors: list) -> list:
-    """Integer tuples that add as the rational vectors do: all scaled alike."""
+def _lattice(vectors: list) -> tuple:
+    """(scale, integer tuples that add as the rational vectors do): each
+    vector times scale, the least common denominator of their entries."""
     scale = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
 def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
@@ -463,7 +472,7 @@ def positive_and_simple(rs: RootSystem, order=None) -> RootSystem:
             positive.append(rd.alpha)
     positive.sort()
     # the positive roots that are no sum of two, sorted since positive is
-    keys = _lattice(positive)
+    _, keys = _lattice(positive)
     sums = {tuple(map(add, a, b)) for a in keys for b in keys}
     simple = [a for a, key in zip(positive, keys) if key not in sums]
     rank = len(rs.cartan.basis)

@@ -216,12 +216,14 @@ def addmul(y: dict, s: GQ, row: dict, rows: list) -> None:
     if not (sa or sb):
         return
     for k, c in row.items():
+        if not (x := rows[k]):
+            continue
         if sd == 1 and c._d == 1:
             ca, cb = c._a, c._b
-            _axpy(y, sa * ca - sb * cb, sa * cb + sb * ca, 1, rows[k])
+            _axpy(y, sa * ca - sb * cb, sa * cb + sb * ca, 1, x)
         else:
             c = s * c
-            _axpy(y, c._a, c._b, c._d, rows[k])
+            _axpy(y, c._a, c._b, c._d, x)
 
 
 def commutator_residual(rows: list, a: int, b: int, eps: int, coeffs: dict,

@@ -177,3 +177,84 @@ def reference_from_matrices(m):
 def rs4420(g4420):
     t = validate_cartan(g4420, so_cartan_hint(SoParams(4, 4, 2, 0)))
     return positive_and_simple(root_decomposition(g4420, t))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-keyed weight bookkeeping that the integer weight keys replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_weights(rep, rs):
+    """(sorted weights, {weight: space}) from the joint eigenspaces of the
+    Cartan operators, each weight a tuple of Fractions; NonIntegralWeight
+    unless every weight pairs integrally with every simple coroot, read off
+    rs.pairings."""
+    from colorlie.errors import NonIntegralWeight
+    from colorlie.linalg import eigensplit
+
+    ops = [rep.apply(h) for h in rs.cartan.basis]
+    spaces = {}
+    for eig, vecs in eigensplit([unit_vec(i) for i in range(rep.dim)], ops):
+        mu = tuple(v.re for v in eig)
+        if any(v.im for v in eig) or any(c.denominator != 1 for c in rs.pairings(mu)):
+            raise NonIntegralWeight(f"weight {mu} is not integral")
+        spaces[mu] = vecs
+    return sorted(spaces), spaces
+
+
+def reference_targets(weights, rs):
+    """{(alpha, mu): mu + alpha if that is a weight, else None} over the
+    roots alpha of rs and the weights mu, added as Fractions."""
+    present = set(weights)
+    return {(rd.alpha, mu): nu if nu in present else None
+            for rd in rs.roots for mu in weights
+            for nu in [tuple(a + b for a, b in zip(mu, rd.alpha))]}
+
+
+def reference_grading(weights, rs):
+    """{weight: degree} from the simple-root coordinates rs.coordinates(mu):
+    weights whose coordinates have equal fractional parts share a
+    root-lattice coset, the largest weight of a coset has degree (0,0), and
+    an odd difference in coordinate i adds the degree of simple root i."""
+    from colorlie.grading import degree_add
+    from colorlie.roots import root_degree
+
+    cosets = {}
+    for mu in weights:
+        coords = rs.coordinates(mu)
+        cosets.setdefault(tuple(c % 1 for c in coords), []).append((mu, coords))
+    node_degrees = [root_degree(rs, a) for a in rs.simple]
+    grading = {}
+    for members in cosets.values():
+        top = max(members)[1]
+        for mu, coords in members:
+            deg = (0, 0)
+            for c, t, nd in zip(coords, top, node_degrees):
+                if (c - t) % 2:
+                    deg = degree_add(deg, nd)
+            grading[mu] = deg
+    return grading
+
+
+def reference_grading_checks(weights, rs, grading):
+    """The (alpha, mu) where the graded-module check must apply the root
+    vector of alpha to V_mu: mu + alpha is no weight, or its degree is not
+    deg(alpha) + deg(mu)."""
+    from colorlie.grading import degree_add
+    from colorlie.roots import root_degree
+
+    return {(alpha, mu) for (alpha, mu), nu in reference_targets(weights, rs).items()
+            if nu is None or grading[nu] != degree_add(root_degree(rs, alpha), grading[mu])}
+
+
+def reference_highest_weight_kernel(dim, weight_of, raising_ops):
+    """{weight index: vectors}: one kernel_basis of every nonzero row of the
+    raising operators, written over the weight basis, each kernel vector
+    filed under the weight of its first coordinate."""
+    from colorlie.linalg import SMat, kernel_basis
+
+    rows = [row for op in raising_ops for row in op.rows if row]
+    hw = {}
+    for v in kernel_basis(SMat(len(rows), dim, rows)):
+        hw.setdefault(weight_of[next(iter(v))], []).append(v)
+    return hw

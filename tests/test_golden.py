@@ -142,21 +142,14 @@ def test_rescaled_module_verb(capsys, verb):
     assert out == golden.read_bytes()
 
 
-def library_reports():
-    """{case: {"decomposition": decomposition_report, "grading": the
-    grading_synthesis result as "weight : degree" lines in weight order}}
-    on the defining, adjoint and tensor-square modules of so(4,2,2,2),
-    generated with its Cartan hint ("so4222") and on the worked basis with
-    its Cartan indices ("fx4222"), and on the re-based defining module."""
+def golden_modules():
+    """{case: (module, root system)}: the defining, adjoint and tensor-square
+    modules of so(4,2,2,2), generated with its Cartan hint ("so4222") and on
+    the worked basis with its Cartan indices ("fx4222"), and the re-based
+    defining module."""
     from colorlie.families import fixture_so4222
     from colorlie.linalg import unit_vec
-    from colorlie.reps import (
-        adjoint_representation,
-        decompose,
-        defining_representation,
-        grading_synthesis,
-        tensor_product,
-    )
+    from colorlie.reps import adjoint_representation, defining_representation, tensor_product
     from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
 
     fx = fixture_so4222()
@@ -175,13 +168,22 @@ def library_reports():
         reps[f"{name} tensor"] = tensor_product(defining, defining), rs
     defining, rs = reps["so4222 defining"]
     reps["so4222 defining rebased"] = rebased_defining(defining), rs
+    return reps
+
+
+def library_reports():
+    """{case: {"decomposition": decomposition_report, "grading": the
+    grading_synthesis result as "weight : degree" lines in weight order}}
+    on the modules of golden_modules."""
+    from colorlie.reps import decompose, grading_synthesis
+
     return {
         name: {
             "decomposition": serialize.decomposition_report(decompose(rep, rs)),
             "grading": [" ".join(serialize._frac_vec(mu)) + " : %d %d" % d
                         for mu, d in sorted(grading_synthesis(rep, rs).items())],
         }
-        for name, (rep, rs) in reps.items()
+        for name, (rep, rs) in golden_modules().items()
     }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorlie.errors import IrrationalEigenvalue, SingularForm
+from colorlie.errors import CertificateFailed, IrrationalEigenvalue, SingularForm
 from colorlie.linalg import (
     SMat,
     SubspaceBasis,
@@ -221,11 +221,14 @@ def test_eigensplit_diagonalizable():
             assert m.matvec(v) == vec_scale(v, lam)
 
 
-def test_eigensplit_generalized_and_joint():
+def test_eigensplit_exact_and_joint():
+    """A Jordan block has one eigenvalue but a 1-dimensional eigenspace:
+    eigensplit returns exact eigenspaces only, so it refuses the split."""
     j = SMat.from_dense([[ONE, ONE], [ZERO, ONE]])  # Jordan block at 1
-    pieces = eigensplit([unit_vec(0), unit_vec(1)], [j])
-    assert len(pieces) == 1 and pieces[0][0] == (ONE,)
-    assert len(pieces[0][1]) == 2
+    with pytest.raises(CertificateFailed, match="do not add up"):
+        eigensplit([unit_vec(0), unit_vec(1)], [j])
+    with pytest.raises(CertificateFailed, match="do not add up"):
+        eigensplit([unit_vec(0), unit_vec(1)], [SMat.identity(2), j])
     a = SMat.from_dense([[ONE, ZERO], [ZERO, MINUS_ONE]])
     b = SMat.from_dense([[GQ(5), ZERO], [ZERO, GQ(5)]])
     pieces = eigensplit([unit_vec(0), unit_vec(1)], [a, b])

@@ -1,7 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from conftest import reference_homomorphism_failure
+from conftest import (
+    reference_grading,
+    reference_grading_checks,
+    reference_highest_weight_kernel,
+    reference_homomorphism_failure,
+    reference_targets,
+    reference_weights,
+    rescaled,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +23,8 @@ from colorlie.errors import (
     UngradedFirstFactor,
 )
 from colorlie.grading import degree_add, sign
-from colorlie.linalg import SMat
+from colorlie import reps
+from colorlie.linalg import SMat, vec_scale
 from colorlie.reps import (
     Representation,
     adjoint_representation,
@@ -32,7 +41,7 @@ from colorlie.reps import (
     trivial_representation,
     weight_decomposition,
 )
-from colorlie.roots import reflect
+from colorlie.roots import positive_and_simple, reflect, root_decomposition, validate_cartan
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE, commutator_residual
 
 
@@ -339,13 +348,130 @@ def _cartan_not_semisimple(g, defn, rs):
     return Representation(g, 20, mats)
 
 
-def test_cartan_action_not_semisimple_rejected(g4222, defn4222, rs4222):
-    rep = _cartan_not_semisimple(g4222, defn4222, rs4222)
+def _cartan_not_semisimple_on_a_weight(g, defn, rs):
+    """V+V with the rank-1 map that sends copy 2's weight vector e1 + i e0
+    of weight e1 (dual functional (e1* - i e0*)/2) onto copy 1's added to
+    pi(H_1): the generalized weight spaces are those of V+V and every root
+    vector maps them correctly, so only the Cartan action is wrong."""
+    double = direct_sum_rep(defn, defn)
+    (h,) = rs.cartan.basis[0]
+    m = double.matrices[h].copy()
+    half = GQ(Fraction(1, 2))
+    for r, u in ((1, ONE), (0, I)):
+        for c, f in ((11, half), (10, -half * I)):
+            m.rows[r][c] = m.rows[r].get(c, GQ(0)) + u * f
+    mats = list(double.matrices)
+    mats[h] = m
+    return Representation(g, 20, mats)
+
+
+@pytest.mark.parametrize("build", [_cartan_not_semisimple, _cartan_not_semisimple_on_a_weight])
+def test_cartan_action_not_semisimple_rejected(g4222, defn4222, rs4222, build):
+    """Each module is rejected where its weights are computed: eigensplit
+    splits on exact eigenspaces, which do not fill it."""
+    rep = build(g4222, defn4222, rs4222)
     assert not is_representation(rep).ok
-    with pytest.raises(CertificateFailed):
-        decompose(rep, rs4222)
-    with pytest.raises(CertificateFailed):
-        grading_synthesis(rep, rs4222)
+    for f in (weight_decomposition, decompose, grading_synthesis):
+        with pytest.raises(CertificateFailed, match="eigenspace dimensions do not add up"):
+            f(rep, rs4222)
+
+
+def test_weight_frame_applies_no_cartan_operator(tensor4222, rs4222, monkeypatch):
+    """weight_decomposition certifies that the Cartan acts by the weights, so
+    _weight_frame applies no Cartan operator again; it used to apply each of
+    the 5 to each of the 100 weight vectors of the tensor square."""
+    assert all(len(h) == 1 for h in rs4222.cartan.basis)  # apply(h) is a stored matrix
+    cartan = {id(tensor4222.apply(h)) for h in rs4222.cartan.basis}
+    wd = weight_decomposition(tensor4222, rs4222)
+    calls = []
+    matvec = SMat.matvec
+
+    def counted(op, v):
+        calls.append(id(op) in cartan)
+        return matvec(op, v)
+
+    monkeypatch.setattr(reps, "weight_decomposition", lambda rep, rs: wd)
+    monkeypatch.setattr(SMat, "matvec", counted)
+    reps._weight_frame(tensor4222, rs4222)
+    assert len(calls) == 4000 and not any(calls)  # 40 root vectors on 100 weight vectors
+
+
+@pytest.fixture(scope="module")
+def reference_modules():
+    """The seven modules of decompose_so4222.json, the rescaled defining
+    module, and the generated defining and tensor-square modules over the
+    Cartan basis halved, whose weights and roots have denominator 2."""
+    from test_golden import golden_modules
+
+    mods = golden_modules()
+    defining, rs = mods["so4222 defining"]
+    mods["so4222 defining rescaled"] = rescaled(defining), rs
+    g = defining.algebra
+    t = validate_cartan(g, [vec_scale(h, GQ(Fraction(1, 2))) for h in rs.cartan.basis])
+    halved = positive_and_simple(root_decomposition(g, t))
+    for name in ("defining", "tensor"):
+        mods[f"so4222 {name} halved"] = mods[f"so4222 {name}"][0], halved
+    return mods
+
+
+@pytest.mark.parametrize("name", [
+    f"{a} {m}" for a in ("so4222", "fx4222") for m in ("defining", "adjoint", "tensor")] + [
+    "so4222 defining rebased", "so4222 defining rescaled", "so4222 defining halved",
+    "so4222 tensor halved"])
+def test_weight_keys_match_fraction_reference(reference_modules, name, monkeypatch):
+    """The integer-keyed bookkeeping against the Fraction-keyed reference of
+    conftest: the weights and their spaces; the weight mu + alpha where each
+    root vector sends V_mu; <mu, mu>; the synthesized grading, by coset and
+    parity; the (alpha, mu) whose images the graded-module check computes;
+    and the highest-weight kernel, solved weight by weight, against one
+    kernel of all raising rows, vector for vector."""
+    rep, rs = reference_modules[name]
+    weights, spaces = reference_weights(rep, rs)
+    wd, _, weight_of, roots, ops, hw = reps._weight_frame(rep, rs)
+    assert wd.weights == weights and wd.spaces == spaces
+    targets = reference_targets(weights, rs)
+    alphas = [rd.alpha for rd in rs.roots for a in rd.degrees() for _ in rd.spaces_by_degree[a]]
+    for alpha, op in zip(alphas, ops):
+        assert all(weights[weight_of[r]] == targets[(alpha, weights[weight_of[c]])]
+                   for r, row in enumerate(op.rows) for c in row)
+    d, norms = reps._norms(wd, rs)
+    assert [Fraction(q, d) for q in norms] == [rs.inner(mu, mu) for mu in weights]
+    assert hw == reference_highest_weight_kernel(
+        rep.dim, weight_of, [op for (*_, up), op in zip(roots, ops) if up])
+    grading = reference_grading(weights, rs)
+    assert grading_synthesis(rep, rs) == grading
+    # the pairs the graded-module check applies a root vector to
+    root_of = {id(rd.spaces_by_degree[a][0]): rd.alpha for rd in rs.roots for a in rd.degrees()}
+    weight_of_vector = {id(v): mu for mu, vecs in wd.spaces.items() for v in vecs}
+    applied, checked = {}, set()
+    matvec = SMat.matvec
+
+    def apply(x):
+        op = Representation.apply(rep, x)
+        applied[id(op)] = root_of[id(x)]
+        return op
+
+    def counted(op, v):
+        checked.add((applied[id(op)], weight_of_vector[id(v)]))
+        return matvec(op, v)
+
+    monkeypatch.setattr(reps, "weight_decomposition", lambda rep, rs: wd)
+    monkeypatch.setattr(rep, "apply", apply)
+    monkeypatch.setattr(SMat, "matvec", counted)
+    reps.grading_synthesis(rep, rs)
+    assert checked == reference_grading_checks(weights, rs, grading)
+
+
+def test_non_integral_weight_matches_reference(defn4222, rs4222):
+    """The half-weight module of test_non_integral_weight_raises: the
+    integer test on the keys and the Fraction test of the reference both
+    reject it."""
+    half = Representation(defn4222.algebra, defn4222.dim,
+                          [m.scaled(GQ(Fraction(1, 2))) for m in defn4222.matrices])
+    with pytest.raises(NonIntegralWeight):
+        reference_weights(half, rs4222)
+    with pytest.raises(NonIntegralWeight, match="is not integral"):
+        weight_decomposition(half, rs4222)
 
 
 def test_decompose_requires_self_centralizing(g4211, rs4211):
