@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .algebra import check_axioms, from_matrices, killing_radical
@@ -25,6 +24,7 @@ from .roots import (
     simplicity,
     weyl_order,
 )
+from .scalars import parse_rational
 
 
 def _read_json(path: str) -> dict:
@@ -52,7 +52,7 @@ def _emit_json(doc: dict, path: str) -> None:
 def _parse_order(text):
     if text is None:
         return None
-    return [Fraction(part) for part in text.split(",")]
+    return [parse_rational(part) for part in text.split(",")]
 
 
 def _load_algebra(path: str):

@@ -185,6 +185,30 @@ def test_degenerate_order_exits_1(capsys, alg_file):
     assert "vanishes" in err
 
 
+@pytest.mark.parametrize("order", ["1/0,1,1,1,1", "1.5,1,1,1,1", "1e0,1,1,1,1",
+                                   " 2 ,1,1,1,1", "1_0,1,1,1,1", "1,,1,1,1"])
+def test_malformed_order_exits_2(capsys, alg_file, order):
+    """Each --order part is read by the strict grammar of the JSON loaders,
+    -?[0-9]+(/[0-9]+)?: a zero denominator, a decimal point, an exponent,
+    spaces, an underscore or an empty part exit 2 with one stderr line."""
+    code, out, err = run(capsys, "roots", str(alg_file), "--order", order)
+    assert (code, out) == (2, "")
+    assert err.startswith("roots: input error: ") and err.count("\n") == 1
+
+
+def test_rational_order_accepted(capsys, alg_file):
+    """Every root here has at most two nonzero coordinates, each +-1, so a
+    strictly decreasing positive functional orders them lexicographically:
+    given with a fraction, it prints the default report; negated, it picks
+    the opposite positive system."""
+    code, default, _ = run(capsys, "roots", str(alg_file))
+    assert code == 0
+    code, out, _ = run(capsys, "roots", str(alg_file), "--order", "16,8,4,2,2/3")
+    assert code == 0 and out == default
+    code, out, _ = run(capsys, "roots", str(alg_file), "--order=-16,-8,-4,-2,-2/3")
+    assert code == 0 and out != default
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--seed", "1", "FILE"],
     ["generate", "--family", "so", "--p", "4", "--q", "2", "--r", "2", "--s", "2",
