@@ -229,12 +229,12 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
 def _weight_frame(rep: Representation, rs: RootSystem):
     """(wd, basis, weight_of, roots, ops, hw): the weight decomposition, the
     weight basis (the weight spaces' bases in wd.weights order), each basis
-    vector's weight index, (key, degree, x, raising) per root vector x, key
-    the root's in wd.keys, each pi(x) over the weight basis, applied once to
-    each weight vector, and {weight index: basis of the nonzero
-    highest-weight space there}.  Certifies that pi(x) maps V_mu into
-    V_{mu+alpha} (weight_decomposition has certified that the Cartan acts by
-    the weights); NonIntegralWeight unless every highest weight is dominant."""
+    vector's weight index, (key, degree, x, raising) per root vector x, each
+    pi(x) over the weight basis, applied once to each weight vector, and
+    {weight index: basis of the nonzero highest-weight space there}.
+    Certifies that pi(x) maps V_mu into V_{mu+alpha} (weight_decomposition
+    certified that the Cartan acts by the weights); NonIntegralWeight
+    unless every highest weight is dominant."""
     wd = weight_decomposition(rep, rs)
     spaces = list(wd.spaces.values())
     basis = [v for vecs in spaces for v in vecs]
@@ -327,9 +327,9 @@ def decompose(rep: Representation, rs: RootSystem) -> list:
         raise NotSelfCentralizing("decompose requires a self-centralizing Cartan")
     wd, basis, weight_of, roots, ops, hw = _weight_frame(rep, rs)
     gram = killing_form(rep.algebra)
-    d, norms = _norms(wd, rs)  # terms: {d: T} for Omega = sum T / d
-    terms = {GQ(d): SMat(rep.dim, rep.dim, [{r: GQ(norms[i])} if norms[i] else {}
-                                            for r, i in enumerate(weight_of)])}
+    div, norms = _norms(wd, rs)  # terms: {d: T} for Omega = sum T / d
+    terms = {GQ(div): SMat(rep.dim, rep.dim, [{r: GQ(norms[i])} if norms[i] else {}
+                                              for r, i in enumerate(weight_of)])}
     partner = {(key, a): k for k, (key, a, _, _) in enumerate(roots)}
     for op, (key, a, x, _) in zip(ops, roots):
         p = partner.get((tuple(-c for c in key), a))

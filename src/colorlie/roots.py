@@ -232,8 +232,7 @@ class RootSystem:
         return self._dots(beta, self._simple_inv)
 
     def integer_frames(self) -> tuple:
-        """(den, coroots, simple_inv): the frames read by `pairings` and
-        `coordinates`, times den, an integer vector each."""
+        """(den, coroots, simple_inv): den times the `pairings` and `coordinates` frames."""
         if self._coroots is None:
             raise ValueError("positive system not fixed; call positive_and_simple first")
         den, frames = _lattice(self._coroots + self._simple_inv)
