@@ -192,7 +192,7 @@ def casimir_eigenvalue_formula(rs: RootSystem, lam) -> Fraction:
 
 
 class WeightDecomposition:
-    def __init__(self, weights: list, spaces: dict, keys: list | None = None, scale: int = 1):
+    def __init__(self, weights: list, spaces: dict, keys: list, scale: int):
         self.weights = weights  # sorted rational vectors
         self.spaces = spaces  # weight -> list of vectors in V, in weights order
         self.keys, self.scale = keys, scale  # scale * v for each weight, then each root

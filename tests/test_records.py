@@ -42,7 +42,7 @@ RECORDS = [
     (Representation, ("algebra", "dim", "matrices", "grading"), (None,),
      [GradedAlgebra([(0, 0)], {}), 2, [SMat(2, 2)], [(0, 1), (1, 0)]]),
     (RepReport, ("ok", "witness", "grading_witness"), (), _values(3)),
-    (WeightDecomposition, ("weights", "spaces", "keys", "scale"), (None, 1), _values(4)),
+    (WeightDecomposition, ("weights", "spaces", "keys", "scale"), (), _values(4)),
     (IrreducibleComponent, ("highest_weight", "basis", "casimir_value", "degree_of_hw_space"),
      (None,), _values(4)),
     (CartanSubalgebra, ("basis", "gram"), (), _values(2)),
