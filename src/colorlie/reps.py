@@ -206,9 +206,9 @@ def weight_decomposition(rep: Representation, rs: RootSystem) -> WeightDecomposi
     eigensplit from the coordinate vectors, so on the Cartan operators'
     invariant coordinate blocks: CertificateFailed unless the Cartan acts
     semisimply, by the weights.  Each weight, then each root of rs.roots,
-    gets an integer key (`_lattice`).  NonIntegralWeight unless every key
-    is integral against the simple coroots scaled to integers (then it is
-    against every root)."""
+    gets an integer key (`_lattice`).  NonIntegralWeight unless every weight
+    is integral against the simple coroots (so against every root), tested
+    on its key against the coroot frame scaled to integers."""
     ops = [rep.apply(h) for h in rs.cartan.basis]
     pieces = eigensplit([unit_vec(i) for i in range(rep.dim)], ops)
     # one Fraction per distinct coordinate; the weights are sorted, as eigensplit sorts
