@@ -283,8 +283,7 @@ def highest_weight_vectors(rep: Representation, rs: RootSystem):
 
 
 def _norms(wd: WeightDecomposition, rs: RootSystem) -> tuple:
-    """(d, q): <mu, mu> = q[i] / d for the i-th weight mu, as k G k / (scale^2 e)
-    for its key k and the integer matrix G = e * gram_inv."""
+    """(d, q): <mu, mu> = q[i] / d = k G k / (scale^2 e), k the key of weight i, G = e gram_inv."""
     e, g = _lattice([[rs.gram_inv.get(i, j).re for j in range(rs.rank)] for i in range(rs.rank)])
     return wd.scale ** 2 * e, [sum(map(mul, k, (sum(map(mul, k, row)) for row in g)))
                                for k in wd.keys[:len(wd.weights)]]
@@ -408,8 +407,7 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
     if not is_self_centralizing(rs):
         raise NotSelfCentralizing("grading synthesis needs per-root degrees")
     wd = weight_decomposition(rep, rs)
-    spaces = list(wd.spaces.values())
-    keys = wd.keys[:len(spaces)]
+    keys = wd.keys[:len(wd.weights)]
     # mu has the simple-root coordinates n / unit for the integers n below;
     # mu and nu share a root-lattice coset iff n = n' mod unit
     den, _, frame = rs.integer_frames()
@@ -434,12 +432,12 @@ def _synthesize_grading(rep: Representation, rs: RootSystem):
     index = {key: i for i, key in enumerate(keys)}
     for rd, shift in zip(rs.roots, wd.keys[len(keys):]):
         a, op = root_degree(rs, rd.alpha), None
-        for i, key in enumerate(keys):
+        for i, (key, vecs) in enumerate(zip(keys, wd.spaces.values())):
             j = index.get(tuple(map(add, key, shift)))
             if j is not None and grading[j] == degree_add(a, grading[i]):
                 continue
             op = rep.apply(rd.spaces_by_degree[a][0]) if op is None else op
-            if any(op.matvec(v) for v in spaces[i]):
+            if any(op.matvec(v) for v in vecs):
                 raise CertificateFailed("action leaves the weight set" if j is None else
                                         "synthesized grading violates the graded-module condition")
     return wd, dict(zip(wd.weights, grading))

@@ -438,8 +438,7 @@ def default_order_key(alpha) -> int:
 
 
 def _lattice(vectors: list) -> tuple:
-    """(scale, integer tuples that add as the rational vectors do): each
-    vector times scale, the least common denominator of their entries."""
+    """(scale, [scale * v]) for the least common denominator scale of the vectors v."""
     scale = lcm(*(x.denominator for v in vectors for x in v))
     return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
