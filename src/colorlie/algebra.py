@@ -1,9 +1,11 @@
 """Graded-algebra data model: structure constants, axiom checks, Killing form.
 
-A GradedAlgebra stores its bracket table sparsely, keyed by ordered basis
-pairs (i, j) with i < j; the (j, i) entry is recovered through the graded
-antisymmetry sign.  No diagonal entry is stored: eps(a, a) = 1 for every
-degree, so graded antisymmetry forces [e_i, e_i] = 0.
+A GradedAlgebra stores its bracket table once, as sparse rows:
+rows[i][j] = [e_i, e_j] for every ordered pair, nonzero entries only, in
+increasing j; structure is its i < j half.  The constructor is the one
+place that applies the graded antisymmetry sign.  No diagonal entry is
+stored: eps(a, a) = 1 for every degree, so graded antisymmetry forces
+[e_i, e_i] = 0.  The bracket, ad, Jacobi and the Killing form read the rows.
 """
 from __future__ import annotations
 
@@ -26,23 +28,23 @@ from .linalg import (
     lincomb,
     unit_vec,
     vec_axpy,
-    vec_scale,
 )
-from .scalars import ONE, commutator_residual
+from .scalars import ONE, ZERO, commutator_residual
 
 
 class GradedAlgebra:
     """Finite-dimensional Z2xZ2-graded algebra given by structure constants.
 
-    [e_i, e_j] = sum_k structure[(i, j)][k] e_k with all basis vectors
-    homogeneous of degree degrees[i].
+    [e_i, e_j] = sum_k rows[i][j][k] e_k with all basis vectors
+    homogeneous of degree degrees[i].  structure[(i, j)], i < j, is the same
+    coefficient dict as rows[i][j]; both are read only.
     """
 
     def __init__(self, degrees, structure, labels=None):
         self.dim = len(degrees)
         self.degrees = [check_degree(d) for d in degrees]
         self.labels = list(labels) if labels else None
-        self.structure = {}
+        rows = [{} for _ in range(self.dim)]
         for (i, j), coeffs in structure.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise DimensionMismatch(f"structure index ({i},{j}) out of range")
@@ -52,40 +54,28 @@ class GradedAlgebra:
                     raise DimensionMismatch(f"structure index k={k} out of range")
             if not coeffs:
                 continue
-            if i < j:
-                prev = self.structure.get((i, j))
-                if prev is not None and prev != coeffs:
-                    raise ValueError(
-                        f"inconsistent structure constants for ({i},{j})/({j},{i})"
-                    )
-                self.structure[(i, j)] = coeffs
-            elif i == j:
+            if i == j:
                 raise ValueError(
                     f"[e_{i},e_{i}] must vanish for commuting degree pairing"
                 )
-            else:
-                # canonicalize through the antisymmetry sign
-                s = sign(self.degrees[i], self.degrees[j])
-                flipped = vec_scale(coeffs, -s)
-                prev = self.structure.get((j, i))
-                if prev is not None and prev != flipped:
-                    raise ValueError(
-                        f"inconsistent structure constants for ({i},{j})/({j},{i})"
-                    )
-                self.structure[(j, i)] = flipped
+            # [e_j, e_i] = -eps(|e_i|,|e_j|) [e_i, e_j]; -eps = 1 iff the pairing is 1
+            flipped = (coeffs if degree_pairing(self.degrees[i], self.degrees[j])
+                       else {k: -v for k, v in coeffs.items()})
+            if (rows[i].setdefault(j, coeffs) != coeffs
+                    or rows[j].setdefault(i, flipped) != flipped):
+                raise ValueError(f"inconsistent structure constants for ({i},{j})/({j},{i})")
+        self.rows = [dict(sorted(row.items())) for row in rows]
+        self.structure = {(i, j): c for i, row in enumerate(self.rows)
+                          for j, c in row.items() if i < j}
         self._ad_cache = None
         self._killing_cache = None
 
     # -- bracket -----------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        """[e_i, e_j] as a sparse coefficient vector."""
-        if i <= j:
-            return self.structure.get((i, j), {})
-        base = self.structure.get((j, i))
-        if not base:
-            return {}
-        return vec_scale(base, -sign(self.degrees[i], self.degrees[j]))
+        """[e_i, e_j] as a sparse coefficient vector, read only: it is the
+        table's own entry."""
+        return self.rows[i].get(j, {})
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the structure constants to coefficient vectors."""
@@ -108,14 +98,14 @@ class GradedAlgebra:
         return lincomb(self.ad_matrices(), x, self.dim)
 
     def ad_matrices(self) -> list:
+        """ad(e_i) for every i: the transposes of the rows, column j of
+        ad(e_i) being [e_i, e_j]."""
         if self._ad_cache is None:
-            mats = []
-            for i in range(self.dim):
-                m = SMat(self.dim, self.dim)
-                for j in range(self.dim):
-                    for k, v in self.bracket_basis(i, j).items():
+            mats = [SMat(self.dim, self.dim) for _ in range(self.dim)]
+            for m, row in zip(mats, self.rows):
+                for j, c in row.items():
+                    for k, v in c.items():
                         m.rows[k][j] = v
-                mats.append(m)
             self._ad_cache = mats
         return self._ad_cache
 
@@ -133,8 +123,8 @@ class GradedAlgebra:
 
 class AxiomReport:
     """Per-axiom verdicts; a None witness means PASS.  Graded antisymmetry
-    always passes: GradedAlgebra.__init__ rejects brackets that break it, and
-    bracket_basis derives each (j, i) with j > i from the stored (i, j)."""
+    always passes: GradedAlgebra.__init__ rejects brackets that break it and
+    writes each [e_j, e_i] from [e_i, e_j] through the antisymmetry sign."""
 
     def __init__(self, closure: tuple | None = None, jacobi: tuple | None = None,
                  generators: list | None = None):
@@ -230,28 +220,19 @@ def homomorphism_failure(g: GradedAlgebra, mats: list, scan):
     return None
 
 
-def bracket_rows(g: GradedAlgebra) -> list:
-    """The transposed ad matrices, read only: rows[a][k] = [e_a, e_k], nonzero
-    ones only, in increasing k; [e_b, e_a] is the stored [e_a, e_b] if -eps = 1."""
-    rows, degs = [{} for _ in range(g.dim)], g.degrees
-    for (a, b), c in sorted(g.structure.items()):
-        rows[a][b] = c
-        rows[b][a] = c if degree_pairing(degs[a], degs[b]) else {k: -v for k, v in c.items()}
-    return rows
-
-
-def generating_set(g: GradedAlgebra, rows: list) -> list:
+def generating_set(g: GradedAlgebra) -> list:
     """Frames [(s_k, C_{k-1})]: basis indices s_1..s_m whose bracket closure
     is g, chosen greedily, each with C_{k-1}, the indices but s_k that are no
-    pivot of the reduced echelon basis of the closure L_{k-1} of s_1..s_{k-1};
-    rows is bracket_rows(g).  The candidates are the basis vectors of degree
-    != (0,0) in index order, then those of degree (0,0); e_i is taken when it
-    lies outside the closure so far, kept incrementally: a new ad(s) is
-    applied to the vectors already spanned, and every ad(s), s in S, to each
-    new vector.  The closure lies in the subalgebra S generates, Jacobi or
+    pivot of the reduced echelon basis of the closure L_{k-1} of s_1..s_{k-1}.
+    The candidates are the basis vectors of degree != (0,0) in index order,
+    then those of degree (0,0); e_i is taken when it lies outside the closure
+    so far, kept incrementally: a new ad(s) is applied to the vectors already
+    spanned, and every ad(s), s in S, to each new vector.  The closure lies in the subalgebra S generates, Jacobi or
     not, so reaching dim g (else CertificateFailed) proves that S generates
     g.  For a graded bracket the echelon rows are homogeneous, so the e_c,
     c in C_{k-1}, span a graded complement of L_{k-1}."""
+
+    rows = g.rows
 
     def ad(s, v):  # [e_s, v]
         return combine(rows[s], {k: c for k, c in v.items() if k in rows[s]})
@@ -272,22 +253,21 @@ def generating_set(g: GradedAlgebra, rows: list) -> list:
     return frames
 
 
-def _jacobi_failure(g: GradedAlgebra, rows: list, scan, sorted_triples: bool):
+def _jacobi_failure(g: GradedAlgebra, scan, sorted_triples: bool):
     """First (i, j, k), (i, j) a pair of scan (see homomorphism_failure) and
     k its least failing row, where
     [e_i,[e_j,e_k]] - eps(|e_i|,|e_j|) [e_j,[e_i,e_k]] != [[e_i,e_j],e_k],
-    or None; rows is bracket_rows(g).  This is column k of
-    homomorphism_failure for pi = ad, so on pair_scan(range(g.dim), g.dim)
-    the hit is that scan's first failing pair and its least differing column.
+    or None.  This is column k of homomorphism_failure for pi = ad, so on
+    pair_scan(range(g.dim), g.dim) the hit is that scan's first failing pair and its least differing column.
     With sorted_triples, only k > j is visited: once the bracket is graded
     (closure), the Jacobiator is eps-alternating and vanishes on a repeated
     index (eps(a,a) = 1, [x,x] = 0), so the sorted triples decide it and the
     first failing one is the same witness.
 
-    Each pair is commutator_residual on the transposes R_a = ad(e_a)^T, whose
+    Each pair is commutator_residual on the rows R_a = ad(e_a)^T of g, whose
     row k is [e_a,e_k]: row k of R_j R_i - eps R_i R_j - sum_m [e_i,e_j]_m R_m
     is the Jacobiator at k, so its least nonzero key k*n + l gives k."""
-    n, degs = g.dim, g.degrees
+    n, degs, rows = g.dim, g.degrees, g.rows
     den = lcm(*{v._d for c in g.structure.values() for v in c.values()})
     for i, partners in scan:
         for j in partners:
@@ -317,7 +297,7 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
     report = AxiomReport()
     degs = g.degrees
     # closure
-    for (i, j), coeffs in sorted(g.structure.items()):
+    for (i, j), coeffs in g.structure.items():
         target = degree_add(degs[i], degs[j])
         for k in coeffs:
             if degs[k] != target:
@@ -326,13 +306,12 @@ def check_axioms(g: GradedAlgebra) -> AxiomReport:
         if report.closure:
             break
     # Jacobi: [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + (-1)^(di.dj) [e_j,[e_i,e_k]]
-    rows = bracket_rows(g)
     if report.closure is None:
-        frames = generating_set(g, rows)
-        if _jacobi_failure(g, rows, frames, True) is None:
+        frames = generating_set(g)
+        if _jacobi_failure(g, frames, True) is None:
             report.generators = frames
             return report
-    failure = _jacobi_failure(g, rows, pair_scan(range(g.dim), g.dim), report.closure is None)
+    failure = _jacobi_failure(g, pair_scan(range(g.dim), g.dim), report.closure is None)
     if failure:
         i, j, k = failure
         lhs = g.bracket(unit_vec(i), g.bracket_basis(j, k))
@@ -398,17 +377,22 @@ def gl_graded(dims: dict) -> MatrixRealization:
 
 
 def killing_form(g: GradedAlgebra) -> SMat:
-    """Gram matrix K(e_i, e_j) = tr(ad e_i . ad e_j)."""
+    """Gram matrix K(e_i, e_j) = tr(ad e_i . ad e_j)
+    = sum_l sum_k [e_i,e_l]_k [e_j,e_k]_l, read off the rows."""
     if g._killing_cache is not None:
         return g._killing_cache
-    ads = g.ad_matrices()
-    n = g.dim
+    n, rows = g.dim, g.rows
     gram = SMat(n, n)
     for i in range(n):
         for j in range(i, n):
             if g.degrees[i] != g.degrees[j]:
                 continue  # homogeneity of K: zero across distinct degrees
-            v = ads[i].trace_mul(ads[j])
+            v, rj = ZERO, rows[j]
+            for l, c in rows[i].items():
+                for k, a in c.items():
+                    b = rj.get(k)
+                    if b and l in b:
+                        v = v + a * b[l]
             if v:
                 gram.rows[i][j] = v
                 if i != j:

@@ -96,9 +96,6 @@ class SMat:
             vec_axpy(out.rows[i], MINUS_ONE, row)
         return out
 
-    def __neg__(self):
-        return self.scaled(MINUS_ONE)
-
     def scaled(self, a: GQ) -> "SMat":
         return SMat(self.nrows, self.ncols, [vec_scale(r, a) for r in self.rows])
 
@@ -113,25 +110,6 @@ class SMat:
 
     def transpose(self) -> "SMat":
         return SMat(self.ncols, self.nrows, [dict(c) for c in self.cols])
-
-    def trace(self) -> GQ:
-        s = ZERO
-        for i, row in enumerate(self.rows):
-            v = row.get(i)
-            if v is not None:
-                s = s + v
-        return s
-
-    def trace_mul(self, other: "SMat") -> GQ:
-        """tr(self @ other) without forming the product."""
-        s = ZERO
-        orows = other.rows
-        for i, row in enumerate(self.rows):
-            for j, a in row.items():
-                b = orows[j].get(i)
-                if b is not None:
-                    s = s + a * b
-        return s
 
 
 def lincomb(mats: list, x: dict, n: int) -> SMat:

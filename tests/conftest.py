@@ -10,10 +10,17 @@ from colorlie.families import (
     so_cartan_hint,
     so_pqrs,
 )
-from colorlie.grading import sign
-from colorlie.linalg import SubspaceBasis, graded_commutator, lincomb, unit_vec
+from colorlie.grading import degree_pairing, sign
+from colorlie.linalg import (
+    SMat,
+    SubspaceBasis,
+    graded_commutator,
+    lincomb,
+    unit_vec,
+    vec_scale,
+)
 from colorlie.roots import positive_and_simple, root_decomposition, validate_cartan
-from colorlie.scalars import GQ, I, MINUS_ONE, ONE
+from colorlie.scalars import GQ, I, MINUS_ONE, ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # acceptance-criterion reporting: one line per criterion in the terminal
@@ -123,7 +130,6 @@ RESCALE = [GQ(2), GQ(Fraction(1, 3)), GQ(1, 1), GQ(Fraction(-1, 2)), GQ(3),
 def rescaled(rep):
     """D^-1 pi(x) D for the module pi: entries with denominators other than
     1, and the same grading, since D is diagonal."""
-    from colorlie.linalg import SMat
     from colorlie.reps import Representation
 
     mats = [SMat(m.nrows, m.ncols, [{c: v * RESCALE[c] / RESCALE[r] for c, v in row.items()}
@@ -171,6 +177,74 @@ def reference_from_matrices(m):
             if coords:
                 structure[(i, j)] = coords
     return GradedAlgebra(m.basis_degrees, structure, labels=m.labels)
+
+
+# ---------------------------------------------------------------------------
+# the bracket read off the i < j half g.structure, as before the rows
+# ---------------------------------------------------------------------------
+
+
+def reference_bracket_basis(g, i, j):
+    """[e_i, e_j] from g.structure: for i > j, the stored (j, i) entry
+    scaled by -eps(|e_i|,|e_j|), a new dict on every read."""
+    if i <= j:
+        return g.structure.get((i, j), {})
+    base = g.structure.get((j, i))
+    if not base:
+        return {}
+    return vec_scale(base, -sign(g.degrees[i], g.degrees[j]))
+
+
+def reference_bracket_rows(g):
+    """rows[a][k] = [e_a, e_k], nonzero ones only, in increasing k, built
+    from g.structure in sorted order; [e_b, e_a] is the stored [e_a, e_b]
+    if -eps = 1."""
+    rows, degs = [{} for _ in range(g.dim)], g.degrees
+    for (a, b), c in sorted(g.structure.items()):
+        rows[a][b] = c
+        rows[b][a] = c if degree_pairing(degs[a], degs[b]) else {k: -v for k, v in c.items()}
+    return rows
+
+
+def reference_ad_matrices(g):
+    """ad(e_i), entry (k, j) = [e_i, e_j]_k, one reference_bracket_basis
+    per (i, j)."""
+    mats = []
+    for i in range(g.dim):
+        m = SMat(g.dim, g.dim)
+        for j in range(g.dim):
+            for k, v in reference_bracket_basis(g, i, j).items():
+                m.rows[k][j] = v
+        mats.append(m)
+    return mats
+
+
+def _trace_mul(a, b):
+    """tr(a @ b) without forming the product."""
+    s = ZERO
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            y = b.rows[j].get(i)
+            if y is not None:
+                s = s + x * y
+    return s
+
+
+def reference_killing_form(g):
+    """K(e_i, e_j) = tr(ad e_i . ad e_j) on reference_ad_matrices, for
+    e_i and e_j of one degree."""
+    ads, n = reference_ad_matrices(g), g.dim
+    gram = SMat(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            if g.degrees[i] != g.degrees[j]:
+                continue
+            v = _trace_mul(ads[i], ads[j])
+            if v:
+                gram.rows[i][j] = v
+                if i != j:
+                    gram.rows[j][i] = v
+    return gram
 
 
 @pytest.fixture(scope="session")
@@ -251,7 +325,7 @@ def reference_highest_weight_kernel(dim, weight_of, raising_ops):
     """{weight index: vectors}: one kernel_basis of every nonzero row of the
     raising operators, written over the weight basis, each kernel vector
     filed under the weight of its first coordinate."""
-    from colorlie.linalg import SMat, kernel_basis
+    from colorlie.linalg import kernel_basis
 
     rows = [row for op in raising_ops for row in op.rows if row]
     hw = {}

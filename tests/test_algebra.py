@@ -3,7 +3,14 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from conftest import reference_from_matrices, reference_homomorphism_failure
+from conftest import (
+    reference_ad_matrices,
+    reference_bracket_basis,
+    reference_bracket_rows,
+    reference_from_matrices,
+    reference_homomorphism_failure,
+    reference_killing_form,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +18,6 @@ from colorlie.algebra import (
     GradedAlgebra,
     MatrixRealization,
     _jacobi_failure,
-    bracket_rows,
     check_axioms,
     direct_sum,
     from_matrices,
@@ -26,7 +32,7 @@ from colorlie.algebra import (
 from colorlie.errors import CertificateFailed, DimensionMismatch, NotClosed
 from colorlie.families import SoParams, fixture_so4222, so_pqrs
 from colorlie.grading import DEGREES, degree_add, sign
-from colorlie.linalg import SMat, SubspaceBasis, invert, unit_vec
+from colorlie.linalg import SMat, SubspaceBasis, invert, unit_vec, vec_scale
 from colorlie.reps import adjoint_representation, is_representation
 from colorlie.scalars import GQ, I, MINUS_ONE, ONE
 
@@ -128,7 +134,7 @@ def _pair_scan_witness(g):
 
 
 def _gens(g):
-    return [s for s, _ in generating_set(g, bracket_rows(g))]
+    return [s for s, _ in generating_set(g)]
 
 
 @lru_cache(maxsize=None)
@@ -243,11 +249,58 @@ def test_generator_jacobi_verdict_matches_pair_scan(data):
     else:
         bad = _perturbed(data, _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)]))),
                          kind)
-    rows = bracket_rows(bad)
-    fast = _jacobi_failure(bad, rows, generating_set(bad, rows), True)
-    assert (fast is None) == (_jacobi_failure(bad, rows, pair_scan(range(bad.dim), bad.dim),
+    fast = _jacobi_failure(bad, generating_set(bad), True)
+    assert (fast is None) == (_jacobi_failure(bad, pair_scan(range(bad.dim), bad.dim),
                                               True) is None)
     assert (check_axioms(bad).generators is None) == (fast is not None)
+
+
+def _items(rows):
+    return [list(row.items()) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bracket_table_matches_reference(data):
+    """On so(p,q,r,s), direct sums, _shift_algebra and the algebras of
+    _perturbed, rows, ad_matrices, bracket_basis and killing_form equal
+    their readings of the i < j half (conftest), key order included.  The
+    same brackets, each keyed (i, j) or (j, i) at random and in a shuffled
+    order, give the same rows and structure in the same order, and the
+    same axiom witnesses: commutator_residual stops at the first row below
+    lo in reverse order, so unsorted rows would change them."""
+    kind = data.draw(st.sampled_from(["so", "sum", "shift", "perturbed"]))
+    if kind == "so":
+        g = _so(data.draw(st.sampled_from(SO_PARAMS)))
+    elif kind == "sum":
+        small = [t for t in SO_PARAMS if sum(t) <= 5]
+        g = direct_sum(*(_so(data.draw(st.sampled_from(small))) for _ in "ab"))
+    elif kind == "shift":
+        n = data.draw(st.integers(5, 7))
+        top = data.draw(st.lists(st.sampled_from([0, 1, -1]), min_size=(n - 1) // 2,
+                                 max_size=(n - 1) // 2))
+        g = _shift_algebra(n, top, data.draw(st.sampled_from(DEGREES)))
+    else:
+        g = _perturbed(data, _so(data.draw(st.sampled_from([(4, 2, 1, 1), (4, 2, 2, 2)]))),
+                       data.draw(st.sampled_from(["real", "imaginary", "new", "off-degree",
+                                                  "late"])))
+    n = g.dim
+    assert _items(g.rows) == _items(reference_bracket_rows(g))
+    assert _items(r for m in g.ad_matrices() for r in m.rows) == _items(
+        r for m in reference_ad_matrices(g) for r in m.rows)
+    assert all(g.bracket_basis(i, j) == reference_bracket_basis(g, i, j)
+               for i in range(n) for j in range(n))
+    assert _items(killing_form(g).rows) == _items(reference_killing_form(g).rows)
+
+    rnd = data.draw(st.randoms(use_true_random=False))
+    items = [((j, i), vec_scale(c, -sign(g.degrees[i], g.degrees[j]))) if rnd.random() < 0.5
+             else ((i, j), dict(c)) for (i, j), c in g.structure.items()]
+    rnd.shuffle(items)
+    h = GradedAlgebra(list(g.degrees), dict(items))
+    assert _items(h.rows) == _items(g.rows)
+    assert list(h.structure.items()) == list(g.structure.items())
+    a, b = check_axioms(g), check_axioms(h)
+    assert (a.closure, a.jacobi, a.generators) == (b.closure, b.jacobi, b.generators)
 
 
 def test_jacobi_without_closure_scans_every_k():
@@ -301,7 +354,7 @@ def test_generating_set_certifies_its_closure(g4222, monkeypatch):
 
     monkeypatch.setattr("colorlie.algebra.SubspaceBasis", ShortBasis)
     with pytest.raises(CertificateFailed):
-        generating_set(g4222, bracket_rows(g4222))
+        generating_set(g4222)
 
 
 def test_from_matrices_not_closed():

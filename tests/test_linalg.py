@@ -40,12 +40,10 @@ def test_vec_ops():
 def test_smat_basics():
     m = SMat.from_dense([[ONE, I], [ZERO, GQ(2)]])
     assert m.get(0, 1) == I
-    assert m.trace() == GQ(3)
     mt = m.transpose()
     assert mt.get(1, 0) == I
     assert (m @ SMat.identity(2)) == m
     assert m.matvec({1: ONE}) == {0: I, 1: GQ(2)}
-    assert m.trace_mul(m) == (m @ m).trace()
 
 
 def test_kron():
