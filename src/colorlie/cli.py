@@ -123,27 +123,16 @@ def _cmd_dynkin(args) -> int:
 
 
 def _cmd_rep_decompose(args) -> int:
+    """rep-decompose, and casimir: its components and "central": true, since
+    decompose certified invariant components, Omega scalar on each, that
+    fill V, so Omega commutes with every pi(e_i), or it raised."""
     from .reps import decompose
 
     hint, rep = _load_module(args)
     rs = _root_pipeline(rep.algebra, hint, _parse_order(args.order))
-    components = decompose(rep, rs)
-    _emit_json(serialize.decomposition_report(components), args.output)
-    return 0
-
-
-def _cmd_casimir(args) -> int:
-    from .reps import decompose
-
-    hint, rep = _load_module(args)
-    rs = _root_pipeline(rep.algebra, hint, _parse_order(args.order))
-    components = decompose(rep, rs)
-    doc = {
-        # decompose certified invariant components, Omega scalar on each,
-        # that fill V: so Omega commutes with every pi(e_i), or it raised
-        "central": True,
-        "components": serialize.decomposition_report(components)["components"],
-    }
+    doc = serialize.decomposition_report(decompose(rep, rs))
+    if args.verb == "casimir":
+        doc = {"central": True, "components": doc["components"]}
     _emit_json(doc, args.output)
     return 0
 
@@ -193,15 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(func=_cmd_dynkin)
 
-    p = sub.add_parser("rep-decompose", help="complete-reducibility decomposition")
-    pipeline(p)
-    p.add_argument("--algebra", required=True, help="algebra JSON file")
-    p.set_defaults(func=_cmd_rep_decompose)
-
-    p = sub.add_parser("casimir", help="Casimir centrality + component eigenvalues")
-    pipeline(p)
-    p.add_argument("--algebra", required=True, help="algebra JSON file")
-    p.set_defaults(func=_cmd_casimir)
+    for verb, text in (("rep-decompose", "complete-reducibility decomposition"),
+                       ("casimir", "Casimir centrality + component eigenvalues")):
+        p = sub.add_parser(verb, help=text)
+        pipeline(p)
+        p.add_argument("--algebra", required=True, help="algebra JSON file")
+        p.set_defaults(func=_cmd_rep_decompose)
 
     p = sub.add_parser("generate", help="construct a classical family")
     common(p, needs_input=False)
