@@ -85,6 +85,8 @@ def _dense_matrix(m: SMat):
 
 def _matrix_from_dense(rows) -> SMat:
     m = SMat(len(rows), len(rows[0]) if rows else 0)
+    if any(len(row) != m.ncols for row in rows):
+        raise ValueError("matrix rows differ in length")
     for i, row in enumerate(rows):
         for j, pair in enumerate(row):
             v = pair_to_gq(pair)
@@ -107,6 +109,8 @@ def representation_to_json(rep, algebra_ref: str = "") -> dict:
 def representation_from_json(doc: dict, g: GradedAlgebra):
     from .reps import Representation
 
+    if not isinstance(doc, dict):
+        raise ValueError("module document is not a JSON object")
     grading = doc.get("grading")
     return Representation(
         g,

@@ -249,6 +249,25 @@ def test_malformed_algebra_exits_2(capsys, tmp_path, doc):
     assert len(err.strip().splitlines()) == 1
 
 
+def _long_row(doc):
+    doc["matrices"][0][1].append(["1", "0"])  # row 1 one entry longer than row 0
+    return doc
+
+
+@pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1, 2], "module document is not a JSON object"),
+    (_long_row, "matrix rows differ in length"),
+], ids=["not-an-object", "long-row"])
+def test_malformed_module_exits_2(capsys, alg_file, rep_file, tmp_path, edit, message, verb):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(rep_file.read_text()))))
+    code, out, err = run(capsys, verb, str(bad), "--algebra", str(alg_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"{verb}: input error: {message}\n"
+
+
 @pytest.mark.parametrize("where", ["structure", "cartanHint", "matrices"])
 def test_zero_denominator_exits_2(capsys, alg_file, rep_file, tmp_path, where):
     """A rational "1/0" in an algebra structure record, a cartanHint record
