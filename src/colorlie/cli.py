@@ -123,9 +123,9 @@ def _cmd_dynkin(args) -> int:
 
 
 def _cmd_rep_decompose(args) -> int:
-    """rep-decompose, and casimir: its components and "central": true, since
-    decompose certified invariant components, Omega scalar on each, that
-    fill V, so Omega commutes with every pi(e_i), or it raised."""
+    """rep-decompose; casimir prints the same components with "central":
+    true, since decompose certified invariant components, Omega scalar on
+    each, that fill V: so Omega commutes with every pi(e_i), or it raised."""
     from .reps import decompose
 
     hint, rep = _load_module(args)
