@@ -67,7 +67,6 @@ class GradedAlgebra:
         self.rows = [dict(sorted(row.items())) for row in rows]
         self.structure = {(i, j): c for i, row in enumerate(self.rows)
                           for j, c in row.items() if i < j}
-        self._ad_cache = None
         self._killing_cache = None
 
     # -- bracket -----------------------------------------------------------
@@ -92,22 +91,17 @@ class GradedAlgebra:
         return out
 
     def ad(self, x) -> SMat:
-        """Adjoint operator of a basis index or coefficient vector."""
-        if isinstance(x, int):
-            return self.ad_matrices()[x]
-        return lincomb(self.ad_matrices(), x, self.dim)
+        """Adjoint operator of a basis index or coefficient vector: column j
+        is sum_i x_i [e_i, e_j], over the rows of the i in the support of x."""
+        cols = [{} for _ in range(self.dim)]
+        for i, xi in ({x: ONE} if isinstance(x, int) else x).items():
+            for j, c in self.rows[i].items():
+                vec_axpy(cols[j], xi, c)
+        return SMat(self.dim, self.dim, cols).transpose()
 
     def ad_matrices(self) -> list:
-        """ad(e_i) for every i: the transposes of the rows, column j of
-        ad(e_i) being [e_i, e_j]."""
-        if self._ad_cache is None:
-            mats = [SMat(self.dim, self.dim) for _ in range(self.dim)]
-            for m, row in zip(mats, self.rows):
-                for j, c in row.items():
-                    for k, v in c.items():
-                        m.rows[k][j] = v
-            self._ad_cache = mats
-        return self._ad_cache
+        """ad(e_i) for every i, built afresh on each call."""
+        return [self.ad(i) for i in range(self.dim)]
 
     def degree_indices(self, a) -> list:
         return [i for i, d in enumerate(self.degrees) if d == a]

@@ -4,7 +4,7 @@ synthesis, and the color tensor product.
 
 The tensor-product convention x(v⊗w) = xv⊗w + (-1)^pairing(|x|,|v|) v⊗xw is
 standard for color algebras but is an artifact convention, not taken from any
-single source; outputs that depend on it are flagged with `tensorConvention`.
+single source.
 """
 from __future__ import annotations
 
@@ -134,7 +134,7 @@ def is_representation(rep: Representation) -> RepReport:
 
 
 def adjoint_representation(g: GradedAlgebra) -> Representation:
-    return Representation(g, g.dim, [g.ad_matrices()[i] for i in range(g.dim)],
+    return Representation(g, g.dim, g.ad_matrices(),
                           grading=list(g.degrees))
 
 

@@ -113,56 +113,44 @@ def _centralizer_in_even(g: GradedAlgebra, basis) -> list:
 
 
 def find_cartan(g: GradedAlgebra, hint=None) -> CartanSubalgebra:
-    """Validate a user hint, or build a split torus of g^(0,0) greedily.
-
-    The candidates are the degree-(0,0) basis vectors in index order, then
-    e_i + e_j and e_i - e_j for i < j, and, only if those run out first, the
-    basis of the kept vectors' centralizer in g^(0,0), taken afresh each
-    time this stage keeps a vector (on a re-based g^(0,0) no basis vector
-    or pair may be left that commutes with what was kept).  A candidate is
-    kept when it commutes with the vectors already kept, lies outside their
-    span, and its ad has a square-free minimal polynomial with all roots in
-    Q, or all in iQ (then it is kept times i).  The search stops once the kept vectors are their own
-    centralizer in g^(0,0); `validate_cartan` certifies the result."""
+    """Validate a user hint, or grow a split torus of g^(0,0) one vector at
+    a time inside the centralizer in g^(0,0) of the vectors kept so far.
+    While the kept vectors are not their own centralizer, the candidates are
+    that centralizer's basis, then the sums and differences of two of its
+    vectors; the first one outside the kept span whose ad has a square-free
+    minimal polynomial with all roots in Q, or all in iQ (then it is kept
+    times i), is kept.  `validate_cartan` certifies the result."""
     if hint is not None:
         return validate_cartan(g, hint)
-    even = g.degree_indices(ZERO_DEGREE)
-    if not even:
+    if not g.degree_indices(ZERO_DEGREE):
         raise AutoSearchFailed("degree-(0,0) part is zero")
-    pairs = ({i: ONE, j: s} for a, i in enumerate(even) for j in even[a + 1:]
-             for s in (ONE, MINUS_ONE))
     kept, span = [], SubspaceBasis()
-
-    def centralizer():  # a last stage, reached only when the others run out
-        while True:  # recomputed after each vector it keeps
-            n = len(kept)
-            for h in _centralizer_in_even(g, kept):
-                yield h
-                if len(kept) > n:
-                    break
-            else:
-                return
-
-    for h in chain(map(unit_vec, even), pairs, centralizer()):
-        if span.contains(h) or any(g.bracket(h, k) for k in kept):
-            continue
-        roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(h)))
-        if residual or any(m > 1 for _, m in roots):
-            continue
-        if not all(lam.is_rational() for lam, _ in roots):
-            if any(lam.re for lam, _ in roots):
-                continue
-            h = vec_scale(h, I)
+    while len(cent := _centralizer_in_even(g, kept)) > len(kept):
+        sums = (combine([x, y], {0: ONE, 1: s}) for a, x in enumerate(cent)
+                for y in cent[a + 1:] for s in (ONE, MINUS_ONE))
+        h = next(filter(None, (_split(g, h) for h in chain(cent, sums)
+                               if not span.contains(h))), None)
+        if h is None:
+            break
         kept.append(h)
         span.add(h)
-        if len(_centralizer_in_even(g, kept)) == len(kept):
-            break
     try:
         return validate_cartan(g, kept)
     except HintInvalid as e:
         raise AutoSearchFailed(
             f"the split-torus search found no Cartan subalgebra ({e}); "
             "pass one as cartanHint") from None
+
+
+def _split(g: GradedAlgebra, h: dict):
+    """h if ad(h) has a square-free minimal polynomial with all roots in Q,
+    i*h if they are all in iQ, else None."""
+    roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(h)))
+    if residual or any(m > 1 for _, m in roots):
+        return None
+    if all(lam.is_rational() for lam, _ in roots):
+        return h
+    return None if any(lam.re for lam, _ in roots) else vec_scale(h, I)
 
 
 class RootDatum:

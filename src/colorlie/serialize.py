@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedAlgebra
+from .errors import DimensionMismatch
 from .linalg import SMat
 from .scalars import gq_to_pair, pair_to_gq, rational_str
 
@@ -112,12 +113,15 @@ def representation_from_json(doc: dict, g: GradedAlgebra):
     if not isinstance(doc, dict):
         raise ValueError("module document is not a JSON object")
     grading = doc.get("grading")
-    return Representation(
-        g,
-        doc["dim"],
-        [_matrix_from_dense(rows) for rows in doc["matrices"]],
-        grading=[tuple(d) for d in grading] if grading is not None else None,
-    )
+    try:  # a module of the wrong shape is malformed input
+        return Representation(
+            g,
+            doc["dim"],
+            [_matrix_from_dense(rows) for rows in doc["matrices"]],
+            grading=[tuple(d) for d in grading] if grading is not None else None,
+        )
+    except DimensionMismatch as e:
+        raise ValueError(str(e)) from None
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +178,8 @@ def enhanced_dynkin_report(ed) -> dict:
     }
 
 
-def decomposition_report(components, tensor_convention: bool = False) -> dict:
-    doc = {
+def decomposition_report(components) -> dict:
+    return {
         "components": [
             {
                 "highestWeight": _frac_vec(c.highest_weight),
@@ -191,11 +195,6 @@ def decomposition_report(components, tensor_convention: bool = False) -> dict:
         ],
         "totalDim": sum(c.dim for c in components),
     }
-    if tensor_convention:
-        doc["tensorConvention"] = (
-            "x(v@w) = xv@w + (-1)^pairing(|x|,|v|) v@xw (artifact convention)"
-        )
-    return doc
 
 
 def dynkin_dot(ed) -> str:

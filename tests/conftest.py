@@ -247,6 +247,64 @@ def reference_killing_form(g):
     return gram
 
 
+# ---------------------------------------------------------------------------
+# the three-stage hint-free Cartan search that the centralizer loop replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_find_cartan(g):
+    """find_cartan(g) with no hint, as three candidate stages: the
+    degree-(0,0) basis vectors in index order, then e_i + e_j and e_i - e_j
+    for i < j over all of g^(0,0), then the basis of the kept vectors'
+    centralizer in g^(0,0), taken afresh after each vector that stage keeps.
+    A candidate is kept when it commutes with the kept vectors, lies outside
+    their span and its ad is split semisimple (over Q, or over iQ: then it
+    is kept times i); the search stops once the kept vectors are their own
+    centralizer."""
+    from itertools import chain
+
+    from colorlie.errors import AutoSearchFailed, HintInvalid
+    from colorlie.grading import ZERO_DEGREE
+    from colorlie.linalg import gaussian_rational_roots, minimal_polynomial
+    from colorlie.roots import _centralizer_in_even
+
+    even = g.degree_indices(ZERO_DEGREE)
+    if not even:
+        raise AutoSearchFailed("degree-(0,0) part is zero")
+    pairs = ({i: ONE, j: s} for a, i in enumerate(even) for j in even[a + 1:]
+             for s in (ONE, MINUS_ONE))
+    kept, span = [], SubspaceBasis()
+
+    def centralizer():
+        while True:
+            n = len(kept)
+            for h in _centralizer_in_even(g, kept):
+                yield h
+                if len(kept) > n:
+                    break
+            else:
+                return
+
+    for h in chain(map(unit_vec, even), pairs, centralizer()):
+        if span.contains(h) or any(g.bracket(h, k) for k in kept):
+            continue
+        roots, residual = gaussian_rational_roots(minimal_polynomial(g.ad(h)))
+        if residual or any(m > 1 for _, m in roots):
+            continue
+        if not all(lam.is_rational() for lam, _ in roots):
+            if any(lam.re for lam, _ in roots):
+                continue
+            h = vec_scale(h, I)
+        kept.append(h)
+        span.add(h)
+        if len(_centralizer_in_even(g, kept)) == len(kept):
+            break
+    try:
+        return validate_cartan(g, kept)
+    except HintInvalid as e:
+        raise AutoSearchFailed(f"the split-torus search found no Cartan subalgebra ({e})") from None
+
+
 @pytest.fixture(scope="session")
 def rs4420(g4420):
     t = validate_cartan(g4420, so_cartan_hint(SoParams(4, 4, 2, 0)))

@@ -254,11 +254,23 @@ def _long_row(doc):
     return doc
 
 
+def _edited(key, value):
+    def edit(doc):
+        doc[key] = value(doc[key])
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("verb", ["rep-decompose", "casimir"])
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [1, 2], "module document is not a JSON object"),
     (_long_row, "matrix rows differ in length"),
-], ids=["not-an-object", "long-row"])
+    (_edited("grading", lambda d: d[:9]), "grading length does not match module dimension"),
+    (_edited("matrices", lambda m: [[]] + m[1:]), "matrix size does not match module dimension"),
+    (_edited("dim", lambda n: 9), "matrix size does not match module dimension"),
+    (_edited("matrices", lambda m: m[:44]), "expected 45 matrices, got 44"),
+], ids=["not-an-object", "long-row", "short-grading", "empty-matrix", "wrong-dim",
+        "44-matrices"])
 def test_malformed_module_exits_2(capsys, alg_file, rep_file, tmp_path, edit, message, verb):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(json.loads(rep_file.read_text()))))

@@ -285,27 +285,33 @@ def test_roots_unhinted(tmp_path, hashseed):
 
 # Invertible {-1, 0, 1} changes of the degree-(0,0) basis of so(4,2,1,1):
 # row a (7 symbols, row-major) writes the new a-th even basis matrix in the
-# old ones.  On each, the hint-free search runs out of basis vectors and
-# e_i +- e_j with one vector kept, while the Cartan subalgebra (its
-# centralizer in g^(0,0)) has dimension 3.
+# old ones.  On the first three the search keeps i e_j for a basis vector
+# e_j whose centralizer in g^(0,0) has dimension 3 and holds no other basis
+# vector, so the other two vectors come from that centralizer's basis,
+# recomputed after each.  On the last two the centralizer of the kept
+# vectors (on d of the first one, on e of the first two) has dimension 5 and
+# no basis vector outside their span with a split ad, and the search keeps
+# a sum of two of its basis vectors.
 REBASES_SO4211 = [
     "-+-0-00" "0+0--0-" "00+-+00" "+-+-0--" "-++-0+-" "0+-+-00" "+-0-+-0",
     "0-0++--" "++0-+0+" "++0++-0" "0+0+0+-" "0-+00+-" "0++++0-" "0++--+0",
     "00+-0-0" "++++0+-" "-+---++" "-0+0+00" "0++++-0" "++-++-0" "-00++-+",
+    "+++0---" "+-+-0+0" "-0+0-++" "0--0+00" "--+-+0-" "-++--+0" "0---0+-",
+    "+--00+0" "00-+000" "0-0+++-" "-0+--++" "-+--0+-" "00+00-0" "+-0-0+-",
 ]
-# The same encoding.  Here the search keeps i(e_1 - e_2), then a vector of
-# the centralizer stage; no other basis vector of that first centralizer
-# qualifies, so the third vector comes only from the centralizer recomputed
-# after the second is kept.
+# The same encoding.  Here the search keeps i(e_1 - e_2), then a basis
+# vector of its 5-dimensional centralizer in g^(0,0); no other basis vector
+# of that centralizer commutes with both kept vectors and qualifies, so the
+# third vector comes only from the centralizer recomputed after the second.
 REBASE_SO4211_RECOMPUTED = (
     "0-+00-+" "0--0+00" "+--0+-0" "00-0+0-" "---000-" "++--0-+" "0++-0-+"
 )
 
 
 @pytest.mark.parametrize("rebase", REBASES_SO4211 + [REBASE_SO4211_RECOMPUTED],
-                         ids=["a", "b", "c", "recomputed"])
+                         ids=["a", "b", "c", "d", "e", "recomputed"])
 def test_roots_unhinted_rebased(capsys, tmp_path, rebase):
-    """Hint-free `roots` on a re-based so(4,2,1,1) completes the torus from
+    """Hint-free `roots` on a re-based so(4,2,1,1) completes the torus inside
     the kept vectors' centralizer and agrees with the hinted run."""
     real = so_pqrs(SoParams(4, 2, 1, 1))
     even = [i for i, d in enumerate(real.basis_degrees) if d == (0, 0)]

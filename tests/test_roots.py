@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from conftest import reference_find_cartan
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import SO_PARAMS
 
 from colorlie.algebra import GradedAlgebra, direct_sum, from_matrices, killing_form
 from colorlie.errors import (
+    AutoSearchFailed,
     CertificateFailed,
     ColorLieError,
     DegenerateOrder,
@@ -86,6 +91,24 @@ def test_find_cartan_deterministic(g4222, fx4222):
     t1 = find_cartan(g4222)
     t2 = find_cartan(g4222)
     assert t1.basis == t2.basis == [unit_vec(i) for i in fx4222.cartan_indices]
+
+
+def _cartan_basis_or_failure(search, g):
+    try:
+        return search(g).basis
+    except AutoSearchFailed:
+        return AutoSearchFailed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["worked so4222", "worked so4211", *SO_PARAMS]))
+def test_find_cartan_matches_three_stage_search(g4222, g4211, which):
+    """The centralizer loop keeps the same Cartan basis as the three-stage
+    search it replaced, or both give up."""
+    worked = {"worked so4222": g4222, "worked so4211": g4211}
+    g = worked[which] if which in worked else from_matrices(so_pqrs(SoParams(*which)))
+    assert (_cartan_basis_or_failure(find_cartan, g)
+            == _cartan_basis_or_failure(reference_find_cartan, g))
 
 
 # --------------------------------------------------------------------------

@@ -61,13 +61,12 @@ def test_decomposition_report(defn4222, rs4222):
     from colorlie.reps import decompose
 
     comps = decompose(defn4222, rs4222)
-    doc = serialize.decomposition_report(comps, tensor_convention=True)
+    doc = serialize.decomposition_report(comps)
     json.dumps(doc)
     assert doc["totalDim"] == 10
     c = doc["components"][0]
     assert c["highestWeight"] == ["1", "0", "0", "0", "0"]
     assert c["casimirValue"] == "9/16"
-    assert "tensorConvention" in doc
 
 
 def test_dynkin_dot(rs4222, g4222):
